@@ -1,16 +1,24 @@
-//! The `locapd` daemon: a TCP accept loop, per-connection frame
-//! readers, and a bounded worker pool executing pipeline requests under
-//! per-request budgets.
+//! The `locapd` daemon: a blocking TCP accept loop, reused connection
+//! threads reading frames, and a bounded worker pool executing pipeline
+//! requests under per-request budgets.
 //!
 //! # Lifecycle
 //!
-//! [`Daemon::bind`] → [`Daemon::run`] (blocks). Every connection gets a
-//! reader thread; well-formed pipeline requests are `try_send`-ed onto a
-//! bounded job queue (a full queue answers `protocol/overloaded`
-//! immediately — backpressure is explicit, never silent). Workers pull
-//! jobs, realise the request's [`BudgetSpec`] against the shared
-//! monotonic clock, run the pipeline, and write the response to the
-//! originating connection.
+//! [`Daemon::bind`] → [`Daemon::run`] (blocks). The calling thread sits
+//! in a blocking `accept`. Each accepted connection goes to a connection
+//! thread: a parked one when any is idle, a newly spawned one otherwise.
+//! A connection thread serves one connection at a time with blocking
+//! reads; when the connection ends it parks on the hand-off channel for
+//! the next one and exits after an idle linger of a few seconds, so the
+//! threads a burst of connections needed do not outlive the burst. The
+//! acceptor counts parked threads explicitly and claims one before each
+//! hand-off, so a hand-off never waits and never strands a connection.
+//!
+//! Well-formed pipeline requests are `try_send`-ed onto a bounded job
+//! queue (a full queue answers `protocol/overloaded` immediately —
+//! backpressure is explicit, never silent). Workers pull jobs, realise
+//! the request's [`BudgetSpec`] (its deadline runs from the pickup), run
+//! the pipeline, and write the response to the originating connection.
 //!
 //! Failures never kill the daemon: every defective frame, rejected
 //! request, model-run error and budget truncation is answered with a
@@ -26,19 +34,31 @@
 //!
 //! # Shutdown
 //!
-//! The `shutdown` op (when enabled) answers first, then stops the
-//! accept loop, cancels the drain token and joins workers. Issue it
-//! after your other responses arrived: still-queued jobs are answered
-//! with `truncated/cancelled`, and responses to already-closed
-//! connections are dropped and counted under
-//! `serve/responses/undeliverable`.
+//! Every stop path — the `shutdown` op (when enabled),
+//! [`DaemonHandle::shutdown`], a fatal listener error — sets the stop
+//! flag, cancels the drain token, and makes one self-connect to wake the
+//! blocked `accept` (to loopback when the daemon is bound to an
+//! unspecified address). The acceptor drops that connection and stops
+//! accepting. It then closes the hand-off channel, which ends every
+//! parked connection thread, and shuts down the read half of every open
+//! connection: blocked reads see EOF, while replies to already-queued
+//! jobs can still be written. Still-queued jobs are answered with
+//! `truncated/cancelled`, so issue `shutdown` after your other responses
+//! arrived; responses to already-closed connections are dropped and
+//! counted under `serve/responses/undeliverable`. Connection threads,
+//! workers and the telemetry publisher (woken by the same stop) are
+//! joined before [`Daemon::run`] returns.
 
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use locap_core::request::PipelineRequest;
@@ -63,6 +83,10 @@ pub const RESP_ERR: &str = "serve/responses/err";
 pub const UNDELIVERABLE: &str = "serve/responses/undeliverable";
 /// Counter: client connections accepted.
 pub const CONNECTIONS: &str = "serve/connections";
+/// Counter: connection threads spawned — an accepted connection found no
+/// parked thread to take it (the `stats` op reports this daemon's own
+/// count as `connection_threads`).
+pub const CONNECTION_THREADS: &str = "serve/connection_threads";
 /// Counter: client connections that ended (EOF, error, or truncated
 /// frame) — in-flight work for the connection is cancelled.
 pub const DISCONNECTS: &str = "serve/disconnects";
@@ -86,8 +110,12 @@ pub const PHASE_RUN: &str = "run";
 /// Phase name: response build + write (including sidecars).
 pub const PHASE_SERIALIZE: &str = "serialize";
 
-/// How often blocked reads and the accept loop re-check the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// How long a parked connection thread waits for a new connection
+/// before it exits.
+const IDLE_LINGER: Duration = Duration::from_secs(2);
+
+/// How long a stop path's self-connect may take to reach the acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Counter: sidecar writes that failed on I/O (artifact dir missing,
 /// permissions); the response is still delivered.
@@ -158,9 +186,31 @@ impl DaemonHandle {
     /// Requests shutdown: stop accepting, cancel in-flight budgets,
     /// drain and exit (same path as the `shutdown` op).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.drain.cancel();
+        request_stop(&self.stop, &self.drain, self.addr);
     }
+}
+
+/// The one stop path: sets `stop`, cancels the drain token and — on the
+/// first call only — wakes the blocked acceptor with a self-connect.
+fn request_stop(stop: &AtomicBool, drain: &CancelToken, addr: SocketAddr) {
+    let first = !stop.swap(true, Ordering::SeqCst);
+    drain.cancel();
+    if first {
+        // the acceptor drops this stream unread; a failed connect means
+        // the listener is already gone
+        let _ = TcpStream::connect_timeout(&wake_addr(addr), WAKE_TIMEOUT);
+    }
+}
+
+/// Where a self-connect reaches a listener bound to `addr`: loopback of
+/// the same family when `addr` is unspecified.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
 }
 
 /// A bound-but-not-yet-running daemon.
@@ -206,11 +256,26 @@ struct Job {
     enqueued_at: Duration,
 }
 
-/// State shared by connection reader threads.
+/// An accepted connection with its daemon-local id (its key in
+/// [`ConnShared::open`]).
+type Accepted = (u64, TcpStream);
+
+/// State shared by connection threads.
 struct ConnShared {
     tx: SyncSender<Job>,
     stop: Arc<AtomicBool>,
     drain: CancelToken,
+    /// The listener's address, for the stop path's self-connect.
+    addr: SocketAddr,
+    /// Parked connection threads take their next connection here.
+    handoff: Mutex<Receiver<Accepted>>, // lint: lock-rank=5
+    /// Parked threads the acceptor has not claimed yet.
+    idle: AtomicUsize,
+    /// Connection threads this daemon spawned.
+    threads_spawned: AtomicU64,
+    /// A clone of every open connection's stream, so the stop path can
+    /// shut down their read halves.
+    open: Mutex<BTreeMap<u64, TcpStream>>, // lint: lock-rank=6
     depth: Arc<AtomicI64>,
     config: DaemonConfig,
     clock: Arc<dyn MonotonicClock>,
@@ -273,7 +338,7 @@ impl Daemon {
     /// Only fatal listener errors; per-connection and per-request
     /// failures are answered in-protocol.
     pub fn run(self) -> std::io::Result<()> {
-        let Daemon { listener, addr: _, config, stop, drain, store } = self;
+        let Daemon { listener, addr, config, stop, drain, store } = self;
         let depth = Arc::new(AtomicI64::new(0));
         let clock: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(config.queue_depth.max(1));
@@ -281,14 +346,15 @@ impl Daemon {
         let hub = config
             .telemetry_interval
             .map(|iv| Arc::new(TelemetryHub::new(iv, config.telemetry_queue)));
+        // dropping `publisher_stop` wakes and ends the publisher
+        let (publisher_stop, publisher_stopped) = std::sync::mpsc::channel::<()>();
         let publisher = match &hub {
             Some(hub) => {
                 let hub = Arc::clone(hub);
-                let stop = Arc::clone(&stop);
                 Some(
                     std::thread::Builder::new()
                         .name("locapd-telemetry".into())
-                        .spawn(move || hub.run(&stop))?,
+                        .spawn(move || hub.run(&publisher_stopped))?,
                 )
             }
             None => None,
@@ -311,63 +377,140 @@ impl Daemon {
             })
             .collect::<std::io::Result<_>>()?;
 
+        let (handoff, handoff_rx) = std::sync::mpsc::channel::<Accepted>();
         let conn_shared = Arc::new(ConnShared {
             tx,
             stop: Arc::clone(&stop),
             drain,
+            addr,
+            handoff: Mutex::new(handoff_rx),
+            idle: AtomicUsize::new(0),
+            threads_spawned: AtomicU64::new(0),
+            open: Mutex::new(BTreeMap::new()),
             depth,
             config,
             clock,
             hub,
             next_req_id: Arc::new(AtomicU64::new(0)),
         });
-        listener.set_nonblocking(true)?;
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    obs::counter(CONNECTIONS).inc();
-                    let shared = Arc::clone(&conn_shared);
-                    let handle = std::thread::Builder::new()
-                        .name("locapd-conn".into())
-                        .spawn(move || connection_loop(stream, &shared))?;
-                    connections.push(handle);
-                    connections.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    stop.store(true, Ordering::SeqCst);
-                    join_all(connections);
-                    drop(conn_shared);
-                    join_workers(workers);
-                    join_all(publisher.into_iter().collect());
-                    return Err(e);
-                }
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let mut next_conn_id = 0u64;
+        let served = loop {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            if stop.load(Ordering::SeqCst) {
+                break Ok(()); // the stop path's self-connect
             }
+            obs::counter(CONNECTIONS).inc();
+            let Ok(registered) = stream.try_clone() else {
+                record_disconnect();
+                continue;
+            };
+            next_conn_id += 1;
+            lock_or_recover(&conn_shared.open).insert(next_conn_id, registered);
+            if let Err(e) = dispatch((next_conn_id, stream), &conn_shared, &handoff, &mut threads) {
+                break Err(e);
+            }
+        };
+        if served.is_err() {
+            request_stop(&stop, &conn_shared.drain, addr);
         }
-        join_all(connections);
-        // dropping the last sender ends the worker recv loops
+        drop(listener);
+        // closing the hand-off channel ends the parked threads; shutting
+        // the read halves ends the serving ones at their next read
+        drop(handoff);
+        for stream in lock_or_recover(&conn_shared.open).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        join_all(threads);
+        // dropping the last job sender ends the worker recv loops
         drop(conn_shared);
-        join_workers(workers);
-        // the publisher sees the stop flag within its poll interval
+        join_all(workers);
+        drop(publisher_stop);
         join_all(publisher.into_iter().collect());
-        Ok(())
+        served
     }
 }
 
-fn join_all(handles: Vec<std::thread::JoinHandle<()>>) {
+/// Hands an accepted connection to a parked connection thread, spawning
+/// a new thread only when none is idle.
+fn dispatch(
+    conn: Accepted,
+    shared: &Arc<ConnShared>,
+    handoff: &Sender<Accepted>,
+    threads: &mut Vec<JoinHandle<()>>,
+) -> std::io::Result<()> {
+    let conn = if claim_idle(&shared.idle) {
+        // the claimed thread is parked (or about to park) on the
+        // receiver; `shared` keeps that receiver alive, so this send
+        // cannot fail
+        match handoff.send(conn) {
+            Ok(()) => return Ok(()),
+            Err(SendError(conn)) => conn,
+        }
+    } else {
+        conn
+    };
+    record_connection_thread(shared);
+    let thread_shared = Arc::clone(shared);
+    let handle = std::thread::Builder::new()
+        .name("locapd-conn".into())
+        .spawn(move || connection_thread(conn, &thread_shared))?;
+    threads.retain(|h| !h.is_finished());
+    threads.push(handle);
+    Ok(())
+}
+
+/// Takes one parked thread out of the idle count; false when none is
+/// idle.
+fn claim_idle(idle: &AtomicUsize) -> bool {
+    idle.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        .is_ok()
+}
+
+/// The one construction site of the connection-thread counter.
+fn record_connection_thread(shared: &ConnShared) {
+    obs::counter(CONNECTION_THREADS).inc();
+    shared.threads_spawned.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A connection thread: serves connections one after another, parking
+/// between them, until the idle linger runs out or the hand-off channel
+/// closes.
+fn connection_thread(first: Accepted, shared: &ConnShared) {
+    let mut next = Some(first);
+    while let Some(conn) = next {
+        connection_loop(conn, shared);
+        shared.idle.fetch_add(1, Ordering::SeqCst);
+        next = park(shared);
+    }
+}
+
+/// Waits on the hand-off channel until [`IDLE_LINGER`] after the call.
+/// `None` when the linger ran out (the thread has taken itself out of
+/// the idle count) or the channel closed.
+fn park(shared: &ConnShared) -> Option<Accepted> {
+    let deadline = shared.clock.elapsed() + IDLE_LINGER;
+    let handoff = lock_or_recover(&shared.handoff);
+    match handoff.recv_timeout(deadline.saturating_sub(shared.clock.elapsed())) {
+        Ok(conn) => Some(conn),
+        Err(RecvTimeoutError::Disconnected) => None,
+        // when the acceptor claimed this thread first, its connection is
+        // already on the way
+        Err(RecvTimeoutError::Timeout) if !claim_idle(&shared.idle) => handoff.recv().ok(),
+        Err(RecvTimeoutError::Timeout) => None,
+    }
+}
+
+fn join_all(handles: Vec<JoinHandle<()>>) {
     for h in handles {
         if let Err(panic) = h.join() {
             std::panic::resume_unwind(panic);
         }
     }
-}
-
-fn join_workers(handles: Vec<std::thread::JoinHandle<()>>) {
-    join_all(handles)
 }
 
 /// Records an error response kind (`serve/errors/<kind>`) — the one
@@ -445,6 +588,10 @@ fn stats_json(shared: &ConnShared) -> Json {
         ("queue_depth".into(), Json::Num(shared.depth.load(Ordering::SeqCst) as f64)),
         ("queue_capacity".into(), Json::Num(shared.config.queue_depth as f64)),
         ("workers".into(), Json::Num(shared.config.workers as f64)),
+        (
+            "connection_threads".into(),
+            Json::Num(shared.threads_spawned.load(Ordering::Relaxed) as f64),
+        ),
         ("telemetry_interval_ms".into(), Json::Num(telemetry_interval_ms as f64)),
         // the result-store counter family plus its hit-rate gauge (all
         // zero when the daemon runs without --store-dir)
@@ -461,38 +608,36 @@ fn record_disconnect() {
     obs::counter(DISCONNECTS).inc();
 }
 
-fn connection_loop(stream: TcpStream, shared: &ConnShared) {
-    // the read timeout bounds how long shutdown waits on an idle
-    // connection; the frame reader keeps partial frames across timeouts
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => {
-            record_disconnect();
-            return;
-        }
-    };
+/// Serves one connection until EOF (the client's, or the read-half
+/// shutdown of the stop path), then deregisters it.
+fn connection_loop((id, stream): Accepted, shared: &ConnShared) {
+    if let Ok(writer) = stream.try_clone() {
+        serve_frames(stream, &Arc::new(Mutex::new(writer)), shared);
+    }
+    lock_or_recover(&shared.open).remove(&id);
+    record_disconnect();
+}
+
+/// Reads and answers frames with blocking reads until the stream ends or
+/// the connection asks for shutdown.
+fn serve_frames(stream: TcpStream, writer: &Arc<Mutex<TcpStream>>, shared: &ConnShared) {
     let cancel = CancelToken::new();
     let mut subscriptions: Vec<u64> = Vec::new();
     let mut reader = FrameReader::new(stream, shared.config.max_frame_bytes);
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
         match reader.next_frame() {
             Ok(Frame::Eof) => break,
             Ok(Frame::Line(line)) => {
                 if line.iter().all(u8::is_ascii_whitespace) {
                     continue; // keep-alive
                 }
-                if handle_frame(&line, &writer, &cancel, &mut subscriptions, shared) {
+                if handle_frame(&line, writer, &cancel, &mut subscriptions, shared) {
                     break; // shutdown requested on this connection
                 }
             }
-            Err(FrameError::Idle) => continue,
             Err(FrameError::TooLarge { limit }) => {
                 write_error(
-                    &writer,
+                    writer,
                     &Json::Null,
                     &ProtocolError::FrameTooLarge { limit }.kind(),
                     &ProtocolError::FrameTooLarge { limit }.to_string(),
@@ -507,7 +652,6 @@ fn connection_loop(stream: TcpStream, shared: &ConnShared) {
     if let Some(hub) = &shared.hub {
         hub.unsubscribe(&subscriptions);
     }
-    record_disconnect();
 }
 
 /// Handles one well-framed line; returns true when the daemon should
@@ -560,8 +704,7 @@ fn handle_frame(
                 return false;
             }
             write_response(writer, &ok_response(&id, "shutdown", 0, Json::Obj(vec![])));
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.drain.cancel();
+            request_stop(&shared.stop, &shared.drain, shared.addr);
             true
         }
         Request::Pipeline { id, request, budget } => {
@@ -620,9 +763,12 @@ fn process_job(job: Job, shared: &WorkerShared) {
         dur_ns(shared.clock.elapsed().saturating_sub(job.enqueued_at)),
     );
     let before = shared.config.artifact_dir.as_ref().map(|_| obs::snapshot());
+    // the deadline runs from pickup: a clock shared across jobs would
+    // charge each one the daemon's uptime
+    let pickup: Arc<dyn MonotonicClock> = Arc::new(StdClock::new());
     let budget = job
         .budget
-        .realize(&shared.clock, shared.config.default_deadline, shared.config.max_deadline)
+        .realize(&pickup, shared.config.default_deadline, shared.config.max_deadline)
         .with_cancel(job.cancel.clone())
         .with_cancel(shared.drain.clone());
     let (outcome, elapsed) = {

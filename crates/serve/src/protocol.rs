@@ -97,9 +97,6 @@ pub enum FrameError {
     },
     /// The stream ended in the middle of a frame.
     Unterminated,
-    /// The underlying read timed out (`WouldBlock`/`TimedOut`); the
-    /// partial frame is retained — call again to continue.
-    Idle,
     /// Any other I/O failure.
     Io(std::io::Error),
 }
@@ -109,7 +106,6 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::TooLarge { limit } => write!(f, "frame exceeds the {limit}-byte cap"),
             FrameError::Unterminated => write!(f, "stream ended mid-frame"),
-            FrameError::Idle => write!(f, "read timed out; frame still open"),
             FrameError::Io(e) => write!(f, "read failed: {e}"),
         }
     }
@@ -118,10 +114,6 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// Incremental newline framing over a raw reader with a hard size cap.
-///
-/// Partial frames survive [`FrameError::Idle`] returns, so the reader
-/// composes with socket read timeouts (the daemon polls its stop flag
-/// between timeouts).
 #[derive(Debug)]
 pub struct FrameReader<R> {
     reader: R,
@@ -142,8 +134,7 @@ impl<R: Read> FrameReader<R> {
     ///
     /// [`FrameError::TooLarge`] for an oversized frame (stream already
     /// resynchronised), [`FrameError::Unterminated`] at EOF mid-frame,
-    /// [`FrameError::Idle`] on a read timeout, [`FrameError::Io`]
-    /// otherwise.
+    /// [`FrameError::Io`] otherwise.
     pub fn next_frame(&mut self) -> Result<Frame, FrameError> {
         let mut chunk = [0u8; 4096];
         loop {
@@ -170,13 +161,8 @@ impl<R: Read> FrameReader<R> {
                     };
                 }
                 Ok(n) => self.carry.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-                Err(e) => match e.kind() {
-                    std::io::ErrorKind::Interrupted => continue,
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                        return Err(FrameError::Idle)
-                    }
-                    _ => return Err(FrameError::Io(e)),
-                },
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(FrameError::Io(e)),
             }
         }
     }
@@ -303,8 +289,9 @@ pub struct BudgetSpec {
 impl BudgetSpec {
     /// Materialises the spec as a [`RunBudget`]. `default_deadline`
     /// applies when the request named none; `max_deadline` clamps
-    /// whatever was requested. The deadline clock starts now — callers
-    /// realise the budget when execution starts, not at parse time.
+    /// whatever was requested. The deadline counts from `clock`'s zero,
+    /// so pass a clock started when execution starts — not one shared
+    /// across requests, and not one started at parse time.
     pub fn realize(
         &self,
         clock: &Arc<dyn MonotonicClock>,

@@ -3,14 +3,16 @@
 //!
 //! # Design
 //!
-//! One publisher thread ticks every `--telemetry-interval-ms`. Each tick
-//! captures the global registry ([`TelemetryState::capture_global`]),
-//! delta-encodes it against the previous tick's state, and offers one
-//! frame to every subscriber. A frame goes out **every** tick, even when
-//! the delta is empty — subscribers use that as a heartbeat and to
-//! detect quiescence. All subscribers see the same `seq` numbering and
-//! the same captured states, so a snapshot frame at tick *n* plus the
-//! deltas of ticks *n+1..k* reconstructs tick *k*'s state exactly.
+//! One publisher thread ticks every `--telemetry-interval-ms`, blocking
+//! between ticks on a stop channel that the daemon's stop path closes.
+//! Each tick captures the global registry
+//! ([`TelemetryState::capture_global`]), delta-encodes it against the
+//! previous tick's state, and offers one frame to every subscriber. A
+//! frame goes out **every** tick, even when the delta is empty —
+//! subscribers use that as a heartbeat and to detect quiescence. All
+//! subscribers see the same `seq` numbering and the same captured
+//! states, so a snapshot frame at tick *n* plus the deltas of ticks
+//! *n+1..k* reconstructs tick *k*'s state exactly.
 //!
 //! # Slow consumers
 //!
@@ -38,7 +40,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -58,9 +60,6 @@ pub const SUBSCRIBERS: &str = "telemetry/subscribers";
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(1000);
 /// Default per-subscriber frame-queue depth.
 pub const DEFAULT_QUEUE: usize = 8;
-
-/// How often the publisher loop re-checks the stop flag while sleeping.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// One attached subscriber.
 struct Subscriber {
@@ -225,16 +224,14 @@ impl TelemetryHub {
         state.seq = seq + 1;
     }
 
-    /// The publisher loop: ticks every interval until `stop` is set,
+    /// The publisher loop: ticks every interval until `stop` receives a
+    /// message or its sender is dropped (which wakes the wait at once),
     /// then detaches all subscribers. Run on a dedicated thread.
-    pub fn run(&self, stop: &AtomicBool) {
-        while !stop.load(Ordering::SeqCst) {
+    pub fn run(&self, stop: &Receiver<()>) {
+        loop {
             self.publish_once();
-            let mut slept = Duration::ZERO;
-            while slept < self.interval && !stop.load(Ordering::SeqCst) {
-                let step = POLL_INTERVAL.min(self.interval - slept);
-                std::thread::sleep(step);
-                slept += step;
+            if !matches!(stop.recv_timeout(self.interval), Err(RecvTimeoutError::Timeout)) {
+                break;
             }
         }
         self.clear();

@@ -96,6 +96,24 @@ fn deadline_expiry_mid_pipeline_is_a_typed_truncation() {
     daemon.stop();
 }
 
+/// A request's deadline runs from its pickup, not from daemon start: a
+/// daemon that has been up longer than its default deadline still
+/// answers a budget-checking request in time.
+#[test]
+fn default_deadline_runs_from_pickup_not_daemon_start() {
+    let config = DaemonConfig {
+        default_deadline: Some(Duration::from_millis(200)),
+        ..DaemonConfig::default()
+    };
+    let daemon = TestDaemon::start(config);
+    std::thread::sleep(Duration::from_millis(300));
+    let mut client = Client::connect(daemon.addr());
+    let (pipeline, request) = VALID_REQUESTS[0];
+    assert_eq!(pipeline, "eds-lower");
+    expect_ok(&client.roundtrip(request));
+    daemon.stop();
+}
+
 /// Saturating the pool produces typed `protocol/overloaded` responses
 /// and the matching `serve/errors/protocol/overloaded` counter family.
 #[test]

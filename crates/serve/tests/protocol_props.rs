@@ -128,9 +128,6 @@ proptest! {
                 Ok(Frame::Eof) => break,
                 Err(FrameError::TooLarge { limit }) => prop_assert_eq!(limit, cap),
                 Err(FrameError::Unterminated) => break,
-                Err(FrameError::Idle) => {
-                    return Err(TestCaseError::fail("cursor reads cannot time out"));
-                }
                 Err(FrameError::Io(e)) => {
                     return Err(TestCaseError::fail(format!("cursor reads cannot fail: {e}")));
                 }

@@ -7,12 +7,16 @@
 //!   daemon provably alive afterwards;
 //! * oversized and truncated-budget requests;
 //! * ops (`ping`, `stats`, `shutdown`, shutdown disabled);
+//! * fresh-connection service: no accept poll delay, reused connection
+//!   threads, prompt shutdown with an idle keep-alive client attached;
 //! * provenance sidecars for artifact-producing requests;
 //! * a deterministic load test (8 clients × 25 pipelined requests, every
 //!   response matched to its request exactly once) and a worker-pool
 //!   saturation test (typed `protocol/overloaded`, nothing lost).
 
 mod common;
+
+use std::time::{Duration, Instant};
 
 use common::{err_kind, expect_err, expect_ok, Client, TestDaemon, VALID_REQUESTS};
 use locap_obs::json::Json;
@@ -214,6 +218,48 @@ fn shutdown_op_responds_then_stops_the_daemon() {
     let resp = client.roundtrip(r#"{"op":"shutdown","id":"bye"}"#);
     expect_ok(&resp);
     // run() returns; stop() would hang forever if it did not.
+    daemon.stop();
+}
+
+/// A `shutdown` op stops the daemon promptly even while another
+/// keep-alive client sits idle in a blocking read: its read half is shut
+/// down instead of waiting for a poll to notice the stop.
+#[test]
+fn shutdown_returns_promptly_with_an_idle_keepalive_client() {
+    let daemon = TestDaemon::start(DaemonConfig::default());
+    let mut idle = Client::connect(daemon.addr());
+    expect_ok(&idle.roundtrip(r#"{"op":"ping","id":"idle"}"#));
+    let mut client = Client::connect(daemon.addr());
+    expect_ok(&client.roundtrip(r#"{"op":"shutdown","id":"bye"}"#));
+    let started = Instant::now();
+    daemon.stop();
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(100), "run() returned {elapsed:?} after shutdown");
+}
+
+/// Fresh connections are accepted as they arrive — no poll interval
+/// between them — and served by reused connection threads: 200
+/// sequential connect-ping-close rounds need only a few threads.
+#[test]
+fn fresh_connections_are_served_at_once_by_reused_threads() {
+    let daemon = TestDaemon::start(DaemonConfig::default());
+    let started = Instant::now();
+    for i in 0..200 {
+        let mut client = Client::connect(daemon.addr());
+        expect_ok(&client.roundtrip(&format!(r#"{{"op":"ping","id":{i}}}"#)));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "200 fresh-connection pings took {elapsed:?}");
+    let stats = Client::connect(daemon.addr()).roundtrip(r#"{"op":"stats"}"#);
+    let result = expect_ok(&stats);
+    let spawned = result.get("connection_threads").and_then(Json::as_u64);
+    assert!(spawned.is_some_and(|n| (1..=4).contains(&n)), "at most 4 threads: {stats}");
+    let counted = result
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("serve/connection_threads"))
+        .and_then(Json::as_u64);
+    assert!(counted >= spawned, "the global counter includes this daemon's spawns: {stats}");
     daemon.stop();
 }
 

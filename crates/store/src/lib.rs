@@ -400,9 +400,20 @@ fn write_entry(path: &Path, ns: &str, key: &StoreKey, doc: &Json) -> Result<(), 
         ("sum".into(), Json::Str(format!("{:016x}", fnv1a_bytes(body.as_bytes())))),
     ]);
     let contents = format!("{header}\n{body}\n");
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = path.with_extension(temp_suffix());
     fs::write(&tmp, contents).map_err(|source| StoreError::Io { path: tmp.clone(), source })?;
     fs::rename(&tmp, path).map_err(|source| StoreError::Io { path: path.to_path_buf(), source })
+}
+
+/// A temp-file extension no other write in flight shares: the pid, the
+/// writing thread (the worker threads of one daemon share its pid) and
+/// a process-wide sequence number.
+fn temp_suffix() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    format!("tmp.{}.{thread}.{seq}", std::process::id())
 }
 
 #[cfg(test)]
@@ -484,6 +495,32 @@ mod tests {
         store.put("unit", &key, &sample_doc()).unwrap();
         assert_eq!(store.lookup("unit", &key), Lookup::Hit(sample_doc()));
         assert!(store.stats().corrupt >= 5);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_leave_a_valid_entry() {
+        let dir = scratch("same-key");
+        let store = StoreHandle::open(&dir).unwrap();
+        let key = StoreKey::of_bytes(b"contended");
+        // a body large enough that writes overlap
+        let doc = Json::Arr((0..20_000).map(|i| Json::Num(f64::from(i))).collect());
+        for _ in 0..10 {
+            let barrier = std::sync::Barrier::new(8);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        barrier.wait();
+                        store.put("unit", &key, &doc)
+                    });
+                }
+            });
+        }
+        assert_eq!(store.stats().write_failed, 0, "every put succeeds");
+        assert_eq!(store.get("unit", &key), Some(doc));
+        assert_eq!(store.stats().corrupt, 0);
+        let files = std::fs::read_dir(dir.join("unit")).unwrap().count();
+        assert_eq!(files, 1, "no temp file is left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 
