@@ -9,6 +9,7 @@
 
 use locap_bench::{cells, hprintln, Table};
 use locap_core::ramsey::{ramsey_cycle_transfer, verify_monochromatic};
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::IdNbhd;
 use locap_models::{run, IdVertexAlgorithm};
 
@@ -57,7 +58,10 @@ fn report<A: IdVertexAlgorithm + Clone>(name: &str, algo: A, t: &mut locap_bench
             // run A with ids from J on a cycle and compare with B = OiFromId
             let g = locap_graph::gen::cycle(j.len());
             let ids: Vec<u64> = j.clone();
-            let a_out = run::id_vertex(&g, &ids, &algo).expect("well-formed instance");
+            let unlimited = RunBudget::unlimited();
+            let a_out = run::id_vertex_budgeted(&g, &ids, &algo, &unlimited)
+                .expect("well-formed instance")
+                .value;
             // B consumes the ordered graph whose order is the id order
             let rank: Vec<usize> = {
                 let mut perm: Vec<usize> = (0..j.len()).collect();
@@ -68,7 +72,9 @@ fn report<A: IdVertexAlgorithm + Clone>(name: &str, algo: A, t: &mut locap_bench
                 }
                 rank
             };
-            let b_out = run::oi_vertex(&g, &rank, &oi).expect("well-formed instance");
+            let b_out = run::oi_vertex_budgeted(&g, &rank, &oi, &unlimited)
+                .expect("well-formed instance")
+                .value;
             let agree = run::agreement(&a_out, &b_out);
             t.row(&cells([&name, &format!("{j:?}"), &bit, &verified, &format!("{agree:.3}")]));
         }

@@ -309,7 +309,7 @@ pub fn counter_workload() -> BTreeMap<String, u64> {
     let g = locap_graph::gen::cycle(32);
     let rank: Vec<usize> = (0..32).collect();
     let mut eng = locap_models::engine::OiEngine::new(&g, &rank);
-    let _ = eng.run_vertex(&RootIsSmallest);
+    let _ = eng.run_vertex_budgeted(&RootIsSmallest, &locap_graph::budget::RunBudget::unlimited());
     let _ = locap_graph::canon::ordered_type_census(&g, &rank, 1);
 
     obs::snapshot()

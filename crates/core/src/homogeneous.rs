@@ -213,8 +213,17 @@ fn census_count(
                 })
             })
             .collect();
-        handles.into_iter().map(crate::transfer::join_worker).sum()
+        handles.into_iter().map(join_worker).sum()
     })
+}
+
+/// Joins a scoped worker, forwarding its result and re-raising a panic
+/// (a worker panic is a bug, never a malformed-input condition).
+fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    match h.join() {
+        Ok(v) => v,
+        Err(p) => std::panic::resume_unwind(p),
+    }
 }
 
 /// Searches the `{0,1}`-coordinate `k`-subsets for a generator set whose

@@ -499,39 +499,6 @@ pub fn ordered_lkey_into(
     scratch.ledge_buf = edges;
 }
 
-/// [`ordered_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
-/// `O(|ball| + |induced edges|)` per call. Runs on any [`Adjacency`]
-/// layout ([`Graph`] or [`CsrGraph`]).
-pub fn ordered_nbhd_fast(
-    g: &impl Adjacency,
-    rank: &[usize],
-    v: NodeId,
-    r: usize,
-    scratch: &mut NbhdScratch,
-) -> OrderedNbhd {
-    let mut key = std::mem::take(&mut scratch.key_buf);
-    ordered_key_into(g, rank, v, r, scratch, &mut key);
-    let t = OrderedNbhd::from_key(&key);
-    scratch.key_buf = key;
-    t
-}
-
-/// [`id_nbhd`] with a reusable [`NbhdScratch`]: bit-identical output,
-/// `O(|ball| + |induced edges|)` per call.
-pub fn id_nbhd_fast(
-    g: &impl Adjacency,
-    ids: &[u64],
-    v: NodeId,
-    r: usize,
-    scratch: &mut NbhdScratch,
-) -> IdNbhd {
-    let mut key = std::mem::take(&mut scratch.key_buf);
-    id_key_into(g, ids, v, r, scratch, &mut key);
-    let t = IdNbhd::from_key(&key);
-    scratch.key_buf = key;
-    t
-}
-
 /// [`ordered_lnbhd_in`] with a reusable [`NbhdScratch`]: bit-identical
 /// output, `O(|ball| + |induced edges|)` per call.
 pub fn ordered_lnbhd_fast(
@@ -886,13 +853,12 @@ mod tests {
         let g = gen::hypercube(4);
         let csr = g.to_csr();
         let rank = identity_rank(16);
-        let mut s1 = NbhdScratch::new();
-        let mut s2 = NbhdScratch::new();
+        let (mut s1, mut s2) = (NbhdScratch::new(), NbhdScratch::new());
+        let (mut k1, mut k2) = (Vec::new(), Vec::new());
         for v in [0usize, 5, 15] {
-            assert_eq!(
-                ordered_nbhd_fast(&g, &rank, v, 2, &mut s1),
-                ordered_nbhd_fast(&csr, &rank, v, 2, &mut s2),
-            );
+            ordered_key_into(&g, &rank, v, 2, &mut s1, &mut k1);
+            ordered_key_into(&csr, &rank, v, 2, &mut s2, &mut k2);
+            assert_eq!(k1, k2);
         }
     }
 

@@ -29,9 +29,9 @@ pub struct Config {
     /// Files exempt from the counter-discipline rule (L3): the obs
     /// registry itself, whose internals necessarily handle raw names.
     pub counter_exempt: Vec<&'static str>,
-    /// Entry-point files where the budget-pairing rule (L5) also runs
-    /// in reverse: any `pub fn x` with an `x_naive` variant must have an
-    /// `x_budgeted` variant.
+    /// Execution-core entry files under the budget-entry rule (L5):
+    /// every `pub fn` generic over an `…Algorithm` trait takes a
+    /// `RunBudget`.
     pub entry_point_files: Vec<&'static str>,
     /// Allowlisted poison-recovery helpers (L6/L7): `(crate path
     /// prefix, fn name)`. Inside a helper's body, post-lock
@@ -104,7 +104,11 @@ impl Config {
                 },
             ],
             counter_exempt: vec!["crates/obs/src/"],
-            entry_point_files: vec!["crates/models/src/run.rs"],
+            entry_point_files: vec![
+                "crates/models/src/run.rs",
+                "crates/models/src/engine.rs",
+                "crates/core/src/transfer.rs",
+            ],
             lock_helpers: vec![
                 ("crates/serve/", "lock_or_recover"),
                 ("crates/obs/", "lock_unpoisoned"),
@@ -132,7 +136,7 @@ impl Config {
         self.counter_exempt.iter().any(|p| matches(path, p))
     }
 
-    /// Whether `path` is an entry-point file for budget pairing.
+    /// Whether `path` is an execution-core entry file (L5).
     pub fn is_entry_point_file(&self, path: &str) -> bool {
         self.entry_point_files.iter().any(|p| matches(path, p))
     }

@@ -34,9 +34,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     ("L4", "forbid-unsafe", "every crate root (lib and bins) carries #![forbid(unsafe_code)]"),
     (
         "L5",
-        "budget-pairing",
-        "every pub *_budgeted entry point has a plain delegate; entry-point files pair every \
-         fn-with-naive-variant with a budgeted variant",
+        "budget-entry",
+        "in the execution-core entry files, every pub fn generic over an …Algorithm trait \
+         takes a RunBudget parameter",
     ),
     (
         "L6",

@@ -55,7 +55,7 @@ pub fn analyze_files(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic
             check_clock_discipline(info, cfg, &mut diags);
             collect_metric_sites(info, cfg, &mut metric_sites, &mut diags);
             check_forbid_unsafe(info, &mut diags);
-            check_budget_pairing(info, cfg, &mut diags);
+            check_budget_entry(info, cfg, &mut diags);
             check_hot_allocation(info, &mut diags);
         }
         check_poison_discipline(info, cfg, &mut diags);
@@ -431,42 +431,68 @@ fn is_crate_root(path: &str) -> bool {
         || (path.contains("/src/bin/") && path.ends_with(".rs"))
 }
 
-/// L5: budget pairing at file granularity.
-fn check_budget_pairing(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    let fns = pub_fns(f);
-    let names: BTreeSet<&str> = fns.iter().map(|(name, _)| *name).collect();
-    for (name, off) in &fns {
-        if let Some(base) = name.strip_suffix("_budgeted") {
-            if !names.contains(base) {
-                push(
-                    diags,
-                    "L5",
-                    f,
-                    *off,
-                    format!(
-                        "pub fn {name} has no plain delegate `{base}` in this file — every \
-                         budgeted entry point needs an unlimited twin"
-                    ),
-                );
-            }
-        } else if cfg.is_entry_point_file(&f.path) {
-            if let Some(base) = name.strip_suffix("_naive") {
-                if names.contains(base) && !names.contains(format!("{base}_budgeted").as_str()) {
-                    push(
-                        diags,
-                        "L5",
-                        f,
-                        *off,
-                        format!(
-                            "entry point `{base}` (with naive variant `{name}`) has no \
-                             `{base}_budgeted` variant — production entry points must be \
-                             boundable"
-                        ),
-                    );
-                }
-            }
+/// L5: budget entry. In the execution-core entry files, every `pub fn`
+/// generic over an `…Algorithm` trait (in its generics, parameters or
+/// where clause) takes a `RunBudget` parameter, so every entry that
+/// runs an algorithm can be bounded by its caller.
+fn check_budget_entry(f: &FileInfo, cfg: &Config, diags: &mut Vec<Diagnostic>) {
+    if !cfg.is_entry_point_file(&f.path) {
+        return;
+    }
+    let is_ident = |i: usize, pred: &dyn Fn(&str) -> bool| {
+        f.sig_kind(i) == TokenKind::Ident && pred(f.sig_text(i))
+    };
+    for (name, off) in pub_fns(f) {
+        let at = f.sig_index_at(off);
+        // the signature runs from the name to the body (or a `;`)
+        let end = (at..f.sig.len())
+            .find(|&i| matches!(f.sig_kind(i), TokenKind::Punct(b'{' | b';')))
+            .unwrap_or(f.sig.len());
+        if !(at..end).any(|i| is_ident(i, &|t| t.ends_with("Algorithm"))) {
+            continue;
+        }
+        let Some(params) = param_list(f, at, end) else { continue };
+        if !params.into_iter().any(|i| is_ident(i, &|t| t == "RunBudget")) {
+            push(
+                diags,
+                "L5",
+                f,
+                off,
+                format!(
+                    "pub fn {name} runs an algorithm but takes no `RunBudget` — execution-core \
+                     entries are budgeted (pass `&RunBudget::unlimited()` for an unbounded run)"
+                ),
+            );
         }
     }
+}
+
+/// The sig-token range inside the parameter list of the fn named at sig
+/// index `name`: the first `(` outside the generics (a `>` after `-` is
+/// an arrow, not a closing angle) up to its matching `)`.
+fn param_list(f: &FileInfo, name: usize, end: usize) -> Option<std::ops::Range<usize>> {
+    let mut angle = 0usize;
+    let open = (name + 1..end).find(|&i| {
+        match f.sig_kind(i) {
+            TokenKind::Punct(b'<') => angle += 1,
+            TokenKind::Punct(b'>') if f.sig_kind(i - 1) != TokenKind::Punct(b'-') => {
+                angle = angle.saturating_sub(1);
+            }
+            TokenKind::Punct(b'(') => return angle == 0,
+            _ => {}
+        }
+        false
+    })?;
+    let mut depth = 0usize;
+    let close = (open..end).find(|&i| {
+        match f.sig_kind(i) {
+            TokenKind::Punct(b'(') => depth += 1,
+            TokenKind::Punct(b')') => depth -= 1,
+            _ => {}
+        }
+        depth == 0
+    })?;
+    Some(open + 1..close)
 }
 
 /// `pub fn` names (with offsets), test regions excluded.

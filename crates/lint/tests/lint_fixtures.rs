@@ -226,21 +226,41 @@ fn l4_fires_on_crate_roots_without_forbid() {
 }
 
 #[test]
-fn l5_fires_on_unpaired_budgeted_fns() {
-    let bad = "pub fn census_budgeted(b: B) -> R { imp(Some(b)) }\n";
-    let diags = lint_one("crates/lifts/src/fixture.rs", bad);
+fn l5_fires_on_algorithm_entries_without_a_budget() {
+    // generic bound, where clause and `impl Trait` parameter all count
+    let bad = "pub fn po_vertex<A: PoVertexAlgorithm>(d: &D, algo: &A) -> R { imp(d, algo) }\n";
+    let diags = lint_one("crates/models/src/run.rs", bad);
     assert_only("L5", &diags);
+    assert_eq!(diags.len(), 1);
+    let bad = "pub fn transfer<A>(g: &G, oi: A) -> R\nwhere\n    A: OiVertexAlgorithm + Clone,\n\
+               { imp(g, oi) }\n";
+    assert_only("L5", &lint_one("crates/core/src/transfer.rs", bad));
+    let bad =
+        "impl E {\n    pub fn run_edge(&mut self, algo: &impl OiEdgeAlgorithm) -> R { imp() }\n}\n";
+    assert_only("L5", &lint_one("crates/models/src/engine.rs", bad));
+    // a budget mentioned only in the generics or the return type is not
+    // a parameter
+    let bad =
+        "pub fn run<A: IdVertexAlgorithm, F: Fn(&RunBudget) -> bool>(a: &A, f: F) -> RunBudget \
+               { imp() }\n";
+    assert_only("L5", &lint_one("crates/models/src/run.rs", bad));
+}
 
-    let clean = "pub fn census() -> R { imp(None) }\n\
-                 pub fn census_budgeted(b: B) -> R { imp(Some(b)) }\n";
-    assert!(lint_one("crates/lifts/src/fixture.rs", clean).is_empty());
-
-    // reverse direction, entry-point files only: a naive variant demands
-    // a budgeted one
-    let entry = "pub fn run() -> R { imp() }\npub fn run_naive() -> R { reference() }\n";
-    let diags = lint_one("crates/models/src/run.rs", entry);
-    assert_only("L5", &diags);
-    assert!(lint_one("crates/lifts/src/fixture.rs", entry).is_empty(), "not an entry-point file");
+#[test]
+fn l5_accepts_budgeted_entries_and_ignores_other_files() {
+    let good = "pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(\n    d: &D,\n    algo: &A,\n    \
+                budget: &RunBudget,\n) -> R { imp() }\n\
+                pub fn to_vertex_set(bits: &[bool]) -> S { imp(bits) }\n\
+                pub fn pick<F: Fn(usize) -> bool, A: OiVertexAlgorithm>(f: F, a: &A, b: &RunBudget) \
+                -> R { imp() }\n\
+                fn private_loop<A: OiVertexAlgorithm>(a: &A) -> R { imp(a) }\n";
+    assert!(lint_one("crates/models/src/run.rs", good).is_empty());
+    // outside the execution-core entry files the rule does not run, and
+    // a budgeted fn no longer needs an unlimited twin anywhere
+    let unbudgeted = "pub fn po_vertex<A: PoVertexAlgorithm>(d: &D, algo: &A) -> R { imp() }\n";
+    assert!(lint_one("crates/lifts/src/fixture.rs", unbudgeted).is_empty());
+    let lone = "pub fn census_budgeted(b: &RunBudget) -> R { imp(Some(b)) }\n";
+    assert!(lint_one("crates/lifts/src/fixture.rs", lone).is_empty());
 }
 
 #[test]

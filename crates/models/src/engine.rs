@@ -1,51 +1,45 @@
-//! The shared memoized view/neighbourhood engine.
+//! The memoised run engine: one per-vertex loop for all three models.
 //!
-//! Every experiment in the workspace bottoms out in the same inner loop:
-//! extract the radius-`r` neighbourhood of every vertex (a [`ViewTree`]
-//! in PO, an [`OrderedNbhd`]/[`IdNbhd`] in OI/ID) and evaluate an
-//! algorithm on it. Done naively that work is repeated per vertex, per
-//! call, with no sharing — and the paper's constructions (iterated
-//! wreath-product Cayley graphs, `l`-lifts) are exactly the ones that
-//! multiply vertex counts while *collapsing* the number of distinct
-//! neighbourhoods.
+//! A local algorithm is a function of the radius-`r` neighbourhood, and
+//! the paper's constructions (iterated wreath-product Cayley graphs,
+//! `l`-lifts) multiply vertex counts while *collapsing* the number of
+//! distinct neighbourhoods. Every run here exploits that collapse the
+//! same way, in one loop (`run_memoised`): for each vertex, check the
+//! budget's interrupt, look up the vertex's class, evaluate the
+//! algorithm on the first vertex of each class (under the budget's cache
+//! cap), and hand the memoised output to a vertex or edge assembler.
 //!
-//! This module exploits the collapse:
+//! The models differ only in where a class comes from:
 //!
-//! * [`ViewEngine`] wraps [`locap_lifts::ViewCache`] — incremental class
-//!   refinement computes the view classes of **all** vertices at once
-//!   (radius `r` extends radius `r − 1`), identical subtrees are interned,
-//!   the per-state sweep fans across `std::thread::scope` workers, and an
-//!   algorithm is **evaluated once per class** and broadcast to the class
-//!   members.
-//! * [`OiEngine`] / [`IdEngine`] do the same for ordered/identifier
-//!   neighbourhoods: each vertex's canonical form is extracted as a packed
-//!   `u64` key ([`locap_graph::canon`]'s `*_key_into`, `O(|ball|)` with no
-//!   per-call allocation) over a flat [`CsrGraph`], interned into a
-//!   per-engine [`KeyInterner`], and memoized in a dense
-//!   `Vec<Option<_>>` indexed by intern id — type equality is id
-//!   equality, so the hot loop never hashes an owned struct.
+//! * [`ViewEngine`] (PO) precomputes the root view class of **every**
+//!   vertex by incremental refinement in [`locap_lifts::ViewCache`]
+//!   (radius `r` extends radius `r − 1`, identical subtrees interned,
+//!   the per-state sweep fanned across scoped workers);
+//! * [`OiEngine`] / [`IdEngine`] extract each vertex's canonical form as
+//!   a packed `u64` key ([`locap_graph::canon`]'s `*_key_into`,
+//!   `O(|ball|)` with no per-call allocation) over a flat [`CsrGraph`]
+//!   and intern it in a per-engine [`KeyInterner`]: type equality is id
+//!   equality, so the memo is a dense `Vec` indexed by intern id.
 //!
-//! Everything is bit-identical to the naive paths in [`crate::run`]
-//! (asserted by the `engine_differential` test suite); [`EngineStats`]
-//! exposes hit/miss/dedup counters so experiment binaries can print cache
-//! effectiveness. Every run also publishes into the global
-//! [`locap_obs`] registry (`engine/{po,oi,id}/…` counters, one
-//! `engine/<model>/run_vertex|run_edge` span per call), so binaries and
-//! the bench gate can export unified metrics without threading state.
+//! Every entry takes a [`RunBudget`] (`RunBudget::unlimited()` for an
+//! unbounded run) and returns a [`Budgeted`] value whose `truncation`
+//! says why a run stopped early. Outputs are bit-identical to the
+//! per-vertex reference paths in [`crate::oracle`] (asserted by the
+//! `engine_differential` suite). [`EngineStats`] counts hits and misses,
+//! and every run publishes into the global [`locap_obs`] registry
+//! (`engine/{po,oi,id}/…` counters, one `engine/<model>/run_vertex|run_edge`
+//! span per call).
 
 use std::collections::BTreeSet;
 
 use locap_obs as obs;
 
-use locap_graph::budget::{Budgeted, RunBudget};
-use locap_graph::canon::{
-    id_key_into, id_nbhd_fast, ordered_key_into, ordered_nbhd_fast, IdNbhd, NbhdScratch,
-    OrderedNbhd,
-};
+use locap_graph::budget::{Budgeted, RunBudget, TruncationReason};
+use locap_graph::canon::{id_key_into, ordered_key_into, IdNbhd, NbhdScratch, OrderedNbhd};
 use locap_graph::{CsrGraph, Edge, Graph, KeyInterner, LDigraph, NodeId};
-use locap_lifts::{ViewCache, ViewCacheStats, ViewTree};
+use locap_lifts::{Letter, ViewCache, ViewTree};
 
-use crate::error::RunError;
+use crate::error::{check_len, RunError};
 use crate::{
     IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
     PoVertexAlgorithm,
@@ -56,7 +50,7 @@ use crate::{
 pub struct EngineStats {
     /// Vertices processed.
     pub vertices: usize,
-    /// Distinct neighbourhood/view classes among them.
+    /// Distinct neighbourhood/view classes among them (last run).
     pub classes: usize,
     /// Algorithm evaluations actually performed (= misses; once per class).
     pub evals: u64,
@@ -64,86 +58,142 @@ pub struct EngineStats {
     pub hits: u64,
 }
 
-impl EngineStats {
-    /// `vertices / classes` — average number of vertices sharing one
-    /// evaluation (≥ 1; higher is better).
-    pub fn dedup_ratio(&self) -> f64 {
-        if self.classes == 0 {
-            1.0
-        } else {
-            self.vertices as f64 / self.classes as f64
-        }
-    }
-
-    /// One-line human-readable summary for experiment binaries.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} vertices -> {} classes (dedup {:.1}x), {} evals, {} broadcast hits",
-            self.vertices,
-            self.classes,
-            self.dedup_ratio(),
-            self.evals,
-            self.hits
-        )
-    }
-}
-
-/// Registry handles shared by the three engines: one counter family per
-/// model under `engine/<model>/…`, hoisted at engine construction so run
-/// loops pay only atomic adds.
+/// An engine's run counters, its registry handles (one counter family
+/// per model under `engine/<model>/…`, hoisted at construction so runs
+/// pay only atomic adds) and its span and trace names.
 #[derive(Debug, Clone)]
-struct EngineObs {
+struct RunLog {
+    stats: EngineStats,
     runs: obs::Counter,
     vertices: obs::Counter,
     evals: obs::Counter,
     hits: obs::Counter,
     classes: obs::Gauge,
+    run_vertex: String,
+    run_edge: String,
+    miss: String,
+    dedup: String,
 }
 
-impl EngineObs {
-    fn new(model: &str) -> EngineObs {
-        EngineObs {
+impl RunLog {
+    fn new(model: &str) -> RunLog {
+        RunLog {
+            stats: EngineStats::default(),
             runs: obs::counter(&format!("engine/{model}/runs")),
             vertices: obs::counter(&format!("engine/{model}/vertices")),
             evals: obs::counter(&format!("engine/{model}/evals")),
             hits: obs::counter(&format!("engine/{model}/hits")),
             classes: obs::gauge(&format!("engine/{model}/classes")),
+            run_vertex: format!("engine/{model}/run_vertex"),
+            run_edge: format!("engine/{model}/run_edge"),
+            miss: format!("engine/{model}/miss"),
+            dedup: format!("engine/{model}/dedup"),
         }
     }
 
-    /// Publishes the deltas of one run (classes is a level, not a total).
-    fn publish(&self, vertices: usize, classes: usize, evals: u64, hits: u64) {
+    /// Records one run: every evaluation is a distinct class, so the run
+    /// saw `evals` classes (a level, not a total).
+    fn record(&mut self, vertices: usize, evals: u64, hits: u64) {
+        let classes = evals as usize;
+        self.stats.vertices += vertices;
+        self.stats.evals += evals;
+        self.stats.hits += hits;
+        self.stats.classes = classes;
         self.runs.inc();
         self.vertices.add(vertices as u64);
         self.evals.add(evals);
         self.hits.add(hits);
         self.classes.set(classes as i64);
+        // individual misses are traced inline; hits are too frequent to
+        // trace per vertex and appear here in aggregate
+        if obs::trace::enabled() {
+            obs::trace::instant(
+                &self.dedup,
+                &[
+                    ("vertices", vertices as i64),
+                    ("classes", classes as i64),
+                    ("evals", evals as i64),
+                    ("hits", hits as i64),
+                ],
+            );
+        }
     }
 }
 
-/// Emits one trace instant summarising a run's cache effectiveness
-/// (individual misses are emitted inline by [`trace_miss`]; hits are too
-/// frequent to trace per-vertex and appear here in aggregate).
-fn trace_dedup(name: &str, vertices: usize, classes: usize, evals: u64, hits: u64) {
-    if obs::trace::enabled() {
-        obs::trace::instant(
-            name,
-            &[
-                ("vertices", vertices as i64),
-                ("classes", classes as i64),
-                ("evals", evals as i64),
-                ("hits", hits as i64),
-            ],
-        );
-    }
+/// Where [`run_memoised`] gets a vertex's class and the neighbourhood
+/// the algorithm is evaluated on.
+trait Classes {
+    type Nbhd;
+    /// The memo index of `v`'s radius-`r` class.
+    fn class_of(&mut self, v: NodeId, r: usize) -> usize;
+    /// The neighbourhood of `class`, the class [`Classes::class_of`]
+    /// just returned.
+    fn nbhd(&mut self, class: usize, r: usize) -> Self::Nbhd;
 }
 
-/// Emits a per-class cache-miss instant (the first vertex of each class
-/// reaching the algorithm); no-op when tracing is off.
-#[inline]
-fn trace_miss(name: &str, node: usize, class: i64) {
-    if obs::trace::enabled() {
-        obs::trace::instant(name, &[("node", node as i64), ("class", class)]);
+/// The one memoised run loop shared by all six runs. For each vertex in
+/// order: check the interrupt, get its class id, evaluate on the first
+/// vertex of each class (a new class must fit the budget's cache cap),
+/// and pass the output to `assemble`. Returns why the run stopped early,
+/// if it did; an assembly error aborts the run without recording it.
+// lint: hot
+fn run_memoised<C: Classes, O>(
+    n: usize,
+    r: usize,
+    classes: &mut C,
+    budget: &RunBudget,
+    log: &mut RunLog,
+    mut evaluate: impl FnMut(&C::Nbhd) -> O,
+    mut assemble: impl FnMut(NodeId, &O) -> Result<(), RunError>,
+) -> Result<Option<TruncationReason>, RunError> {
+    let mut memo: Vec<Option<O>> = Vec::new();
+    let (mut processed, mut evals, mut hits) = (0usize, 0u64, 0u64);
+    let mut truncation = None;
+    // lint: hot-setup-end
+    for v in 0..n {
+        if let Some(t) = budget.check_interrupt() {
+            truncation = Some(t.publish());
+            break;
+        }
+        let id = classes.class_of(v, r);
+        if id >= memo.len() {
+            memo.resize_with(id + 1, || None);
+        }
+        if memo[id].is_none() {
+            if let Some(t) = budget.check_cache(evals as usize + 1) {
+                truncation = Some(t.publish());
+                break;
+            }
+            evals += 1;
+            if obs::trace::enabled() {
+                obs::trace::instant(&log.miss, &[("node", v as i64), ("class", id as i64)]);
+            }
+            memo[id] = Some(evaluate(&classes.nbhd(id, r)));
+        } else {
+            hits += 1;
+        }
+        processed += 1;
+        if let Some(out) = &memo[id] {
+            assemble(v, out)?;
+        }
+    }
+    log.record(processed, evals, hits);
+    Ok(truncation)
+}
+
+/// PO classes: the root view classes precomputed by the refinement.
+struct RootClasses<'a, 'g> {
+    cache: &'a mut ViewCache<'g>,
+    roots: Vec<u32>,
+}
+
+impl Classes for RootClasses<'_, '_> {
+    type Nbhd = ViewTree;
+    fn class_of(&mut self, v: NodeId, _r: usize) -> usize {
+        self.roots[v] as usize
+    }
+    fn nbhd(&mut self, class: usize, r: usize) -> ViewTree {
+        self.cache.class_view(r, class as u32)
     }
 }
 
@@ -151,157 +201,69 @@ fn trace_miss(name: &str, node: usize, class: i64) {
 /// evaluate-once-per-class algorithm runs. See the module docs.
 pub struct ViewEngine<'g> {
     cache: ViewCache<'g>,
-    run_stats: EngineStats,
-    obs: EngineObs,
+    log: RunLog,
 }
 
 impl<'g> ViewEngine<'g> {
     /// Creates an engine for `d`; all state is built lazily.
     pub fn new(d: &'g LDigraph) -> ViewEngine<'g> {
-        ViewEngine {
-            cache: ViewCache::new(d),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("po"),
-        }
-    }
-
-    /// The underlying refinement cache (classes, interning counters).
-    pub fn cache_stats(&self) -> &ViewCacheStats {
-        self.cache.stats()
+        ViewEngine { cache: ViewCache::new(d), log: RunLog::new("po") }
     }
 
     /// Counters of the algorithm runs executed so far.
     pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
-    }
-
-    /// The radius-`r` view of `v` — bit-identical to
-    /// [`locap_lifts::view`]`(d, v, r)`.
-    pub fn view(&mut self, v: NodeId, r: usize) -> ViewTree {
-        self.cache.view(v, r)
-    }
-
-    /// The view census — bit-identical to
-    /// [`locap_lifts::view_census_naive`], one tree per class.
-    pub fn census(&mut self, r: usize) -> Vec<(ViewTree, usize)> {
-        self.cache.census(r)
+        &self.log.stats
     }
 
     /// Runs a PO vertex algorithm: one evaluation per view class,
-    /// broadcast to all vertices of the class. Bit-identical to
-    /// [`crate::run::po_vertex_naive`].
+    /// broadcast to all vertices of the class. The cache cap bounds the
+    /// view-cache entries and the deadline is checked per vertex; on
+    /// truncation the value is the per-vertex prefix computed so far
+    /// (empty when the cache cap stops the class refinement itself).
     ///
     /// # Errors
     ///
     /// Currently infallible (PO vertex runs have no input
     /// preconditions); `Result` for uniformity with the other engines.
-    pub fn run_vertex<A: PoVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`ViewEngine::run_vertex`]: the cache cap bounds the
-    /// view-cache entries and the deadline is checked per vertex. On
-    /// truncation the value is the per-vertex prefix computed so far
-    /// (empty when the cache cap stops the class refinement itself).
-    // lint: hot
     pub fn run_vertex_budgeted<A: PoVertexAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        let _span = obs::span("engine/po/run_vertex");
-        let r = algo.radius();
-        let (classes, k) = match self.cache.try_root_classes(r, budget.cache_cap()) {
-            Ok(x) => x,
-            Err(t) => return Ok(Budgeted::truncated(Vec::new(), t.publish())),
-        };
-        let mut outputs: Vec<Option<bool>> = vec![None; k];
-        let mut out = Vec::with_capacity(classes.len());
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for (v, &c) in classes.iter().enumerate() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            let bit = match outputs[c as usize] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    evals += 1;
-                    trace_miss("engine/po/miss", v, c as i64);
-                    let b = algo.evaluate(&self.cache.class_view(r, c));
-                    outputs[c as usize] = Some(b);
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        // distinct *root* classes actually seen (k also counts non-root
-        // walk states, which never reach the algorithm)
-        self.run_stats.classes = outputs.iter().filter(|o| o.is_some()).count();
-        self.obs.publish(out.len(), self.run_stats.classes, evals, hits);
-        trace_dedup("engine/po/dedup", out.len(), self.run_stats.classes, evals, hits);
+        let _span = obs::span(&self.log.run_vertex);
+        let mut out = Vec::with_capacity(self.cache.digraph().node_count());
+        let truncation = self.run(
+            algo.radius(),
+            budget,
+            |t| algo.evaluate(t),
+            |_, &bit: &bool| {
+                out.push(bit);
+                Ok(())
+            },
+        )?;
         Ok(Budgeted { value: out, truncation })
     }
 
-    /// Runs a PO edge algorithm: one evaluation per view class, then the
-    /// same per-vertex letter-to-edge assembly as
-    /// [`crate::run::po_edge_naive`].
+    /// Runs a PO edge algorithm: one evaluation per view class, then
+    /// per-vertex letter-to-edge assembly (a positive letter selects the
+    /// outgoing edge with that label, an inverse letter the incoming
+    /// one). On truncation the value holds the edges selected by the
+    /// vertices processed so far.
     ///
     /// # Errors
     ///
     /// [`RunError::AbsentLetter`] when the algorithm selects a letter
     /// the node does not have.
-    pub fn run_edge<A: PoEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`ViewEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
     pub fn run_edge_budgeted<A: PoEdgeAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        let _span = obs::span("engine/po/run_edge");
+        let _span = obs::span(&self.log.run_edge);
         let d = self.cache.digraph();
-        let r = algo.radius();
-        let (classes, k) = match self.cache.try_root_classes(r, budget.cache_cap()) {
-            Ok(x) => x,
-            Err(t) => return Ok(Budgeted::truncated(BTreeSet::new(), t.publish())),
-        };
-        let mut outputs: Vec<Option<Vec<(locap_lifts::Letter, bool)>>> = vec![None; k];
         let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for (v, &c) in classes.iter().enumerate() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            if outputs[c as usize].is_none() {
-                evals += 1;
-                trace_miss("engine/po/miss", v, c as i64);
-                outputs[c as usize] = Some(algo.evaluate(&self.cache.class_view(r, c)));
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = outputs[c as usize].as_ref() else {
-                continue; // just filled above
-            };
-            for &(letter, selected) in bits {
-                if !selected {
-                    continue;
-                }
+        let assemble = |v: NodeId, letters: &Vec<(Letter, bool)>| {
+            for &(letter, _) in letters.iter().filter(|(_, selected)| *selected) {
                 let target = if letter.inverse {
                     d.in_neighbor(v, letter.label)
                 } else {
@@ -314,481 +276,330 @@ impl<'g> ViewEngine<'g> {
                 };
                 out.insert(Edge::new(v, u));
             }
-        }
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = outputs.iter().filter(|o| o.is_some()).count();
-        self.obs.publish(processed, self.run_stats.classes, evals, hits);
-        trace_dedup("engine/po/dedup", processed, self.run_stats.classes, evals, hits);
+            Ok(())
+        };
+        let truncation = self.run(algo.radius(), budget, |t| algo.evaluate(t), assemble)?;
         Ok(Budgeted { value: out, truncation })
     }
-}
 
-/// Flat adjacency with every neighbour list stably re-sorted by `key`
-/// (`offsets[v]..offsets[v + 1]` spans `v`'s list in `nbrs`). Precomputed
-/// once per engine so edge runs stop cloning and sorting neighbour lists
-/// per vertex per run; the stable sort makes the order bit-identical to
-/// the historical per-call `to_vec` + `sort_by_key`.
-fn key_sorted_adj(g: &Graph, key: impl Fn(NodeId) -> u64) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(g.node_count() + 1);
-    let mut nbrs: Vec<u32> = Vec::with_capacity(2 * g.edge_count());
-    offsets.push(0u32);
-    let mut buf: Vec<NodeId> = Vec::new();
-    for v in g.nodes() {
-        buf.clear();
-        buf.extend_from_slice(g.neighbors(v));
-        buf.sort_by_key(|&u| key(u));
-        nbrs.extend(buf.iter().map(|&u| u as u32));
-        offsets.push(nbrs.len() as u32);
+    /// Refines the classes up to radius `r` under the cache cap, then runs
+    /// the memoised loop over them.
+    fn run<O>(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        evaluate: impl FnMut(&ViewTree) -> O,
+        assemble: impl FnMut(NodeId, &O) -> Result<(), RunError>,
+    ) -> Result<Option<TruncationReason>, RunError> {
+        let roots = match self.cache.try_root_classes(r, budget.cache_cap()) {
+            Ok((roots, _)) => roots,
+            Err(t) => return Ok(Some(t.publish())),
+        };
+        let mut classes = RootClasses { cache: &mut self.cache, roots };
+        let n = classes.roots.len();
+        run_memoised(n, r, &mut classes, budget, &mut self.log, evaluate, assemble)
     }
-    (offsets, nbrs)
 }
 
-/// The OI-model engine: `O(|ball|)` packed-key extraction over a flat
-/// [`CsrGraph`], with keys interned so each distinct ordered type is
-/// evaluated once and memo lookups are dense-id indexing.
-pub struct OiEngine<'g> {
-    g: &'g Graph,
-    rank: &'g [usize],
-    /// Flat adjacency mirror of `g` for the extraction hot loop.
+mod model {
+    use super::{
+        id_key_into, ordered_key_into, CsrGraph, IdNbhd, NbhdScratch, NodeId, OrderedNbhd,
+    };
+    #[cfg(doc)]
+    use crate::error::RunError;
+
+    /// What separates the OI engine from the ID engine: the per-node
+    /// label, the key extractor and decoder, and the names it reports.
+    /// Sealed: implemented by [`Oi`] and [`Id`] only.
+    pub trait KeyModel {
+        /// Per-node label: a rank (OI) or an identifier (ID).
+        type Label: Copy;
+        /// The neighbourhood the model's algorithms read.
+        type Nbhd;
+        /// Registry name of the model (`engine/<NAME>/…`).
+        const NAME: &'static str;
+        /// Name of the label slice in [`RunError::InputLengthMismatch`].
+        const LABELS: &'static str;
+        /// The label as an adjacency sort key.
+        fn sort_key(label: Self::Label) -> u64;
+        /// Writes the packed canonical key of `v`'s radius-`r` ball.
+        fn key_into(
+            csr: &CsrGraph,
+            labels: &[Self::Label],
+            v: NodeId,
+            r: usize,
+            scratch: &mut NbhdScratch,
+            key: &mut Vec<u64>,
+        );
+        /// Decodes a key written by [`KeyModel::key_into`].
+        fn from_key(key: &[u64]) -> Self::Nbhd;
+    }
+
+    /// The OI model: ranks, order-isomorphism types.
+    pub struct Oi;
+
+    impl KeyModel for Oi {
+        type Label = usize;
+        type Nbhd = OrderedNbhd;
+        const NAME: &'static str = "oi";
+        const LABELS: &'static str = "rank";
+        fn sort_key(label: usize) -> u64 {
+            label as u64
+        }
+        fn key_into(
+            csr: &CsrGraph,
+            labels: &[usize],
+            v: NodeId,
+            r: usize,
+            scratch: &mut NbhdScratch,
+            key: &mut Vec<u64>,
+        ) {
+            ordered_key_into(csr, labels, v, r, scratch, key);
+        }
+        fn from_key(key: &[u64]) -> OrderedNbhd {
+            OrderedNbhd::from_key(key)
+        }
+    }
+
+    /// The ID model: unique identifiers.
+    pub struct Id;
+
+    impl KeyModel for Id {
+        type Label = u64;
+        type Nbhd = IdNbhd;
+        const NAME: &'static str = "id";
+        const LABELS: &'static str = "ids";
+        fn sort_key(label: u64) -> u64 {
+            label
+        }
+        fn key_into(
+            csr: &CsrGraph,
+            labels: &[u64],
+            v: NodeId,
+            r: usize,
+            scratch: &mut NbhdScratch,
+            key: &mut Vec<u64>,
+        ) {
+            id_key_into(csr, labels, v, r, scratch, key);
+        }
+        fn from_key(key: &[u64]) -> IdNbhd {
+            IdNbhd::from_key(key)
+        }
+    }
+}
+
+use model::{Id, KeyModel, Oi};
+
+/// OI/ID classes: packed canonical keys interned to dense ids. The
+/// interner persists across runs (same type, same id); the memo does not.
+struct KeyClasses<'g, M: KeyModel> {
+    labels: &'g [M::Label],
+    /// Flat adjacency mirror of the graph for the extraction hot loop.
     csr: CsrGraph,
-    /// Rank-sorted adjacency (`sorted_offsets[v]..[v + 1]` spans `v`'s
-    /// neighbours in rank order); empty until `rank` covers the graph —
-    /// the run paths `validate()` before touching it.
+    interner: KeyInterner,
+    scratch: NbhdScratch,
+    key: Vec<u64>,
+}
+
+impl<M: KeyModel> Classes for KeyClasses<'_, M> {
+    type Nbhd = M::Nbhd;
+    fn class_of(&mut self, v: NodeId, r: usize) -> usize {
+        M::key_into(&self.csr, self.labels, v, r, &mut self.scratch, &mut self.key);
+        self.interner.intern(&self.key) as usize
+    }
+    fn nbhd(&mut self, _class: usize, _r: usize) -> M::Nbhd {
+        M::from_key(&self.key)
+    }
+}
+
+/// The OI/ID engine: `O(|ball|)` packed-key extraction over a flat
+/// [`CsrGraph`], with keys interned so each distinct type is evaluated
+/// once and memo lookups are dense-id indexing. Used through its two
+/// instances, [`OiEngine`] and [`IdEngine`].
+pub struct KeyEngine<'g, M: KeyModel> {
+    g: &'g Graph,
+    keys: KeyClasses<'g, M>,
+    /// Label-sorted adjacency (`sorted_offsets[v]..[v + 1]` spans `v`'s
+    /// neighbours in label order, the index order of edge outputs);
+    /// empty until the labels cover the graph — runs check that first.
     sorted_offsets: Vec<u32>,
     sorted_nbrs: Vec<u32>,
-    /// Canonical-form registry shared across runs: same type, same id.
-    interner: KeyInterner,
-    key_buf: Vec<u64>,
-    scratch: NbhdScratch,
-    run_stats: EngineStats,
-    obs: EngineObs,
+    log: RunLog,
 }
 
-impl<'g> OiEngine<'g> {
-    /// Creates an engine for `(g, rank)`.
-    pub fn new(g: &'g Graph, rank: &'g [usize]) -> OiEngine<'g> {
-        let (sorted_offsets, sorted_nbrs) = if rank.len() == g.node_count() {
-            key_sorted_adj(g, |u| rank[u] as u64)
-        } else {
-            // invalid input: keep the engine constructible, let the run
-            // paths report InputLengthMismatch
-            (Vec::new(), Vec::new())
-        };
-        OiEngine {
+/// The OI-model engine over `(g, rank)`. Each distinct ordered type is
+/// evaluated once and broadcast.
+pub type OiEngine<'g> = KeyEngine<'g, Oi>;
+
+/// The ID-model engine over `(g, ids)`. Identifiers being globally
+/// unique, the dedup ratio is usually 1 on connected graphs with
+/// `r ≥ 1`: the win is the extraction fast path, and radius-0 or
+/// disconnected corner cases still dedup.
+pub type IdEngine<'g> = KeyEngine<'g, Id>;
+
+impl<'g, M: KeyModel> KeyEngine<'g, M> {
+    /// Creates an engine for `g` with per-node `labels`.
+    pub fn new(g: &'g Graph, labels: &'g [M::Label]) -> KeyEngine<'g, M> {
+        let mut sorted_offsets = Vec::new();
+        let mut sorted_nbrs = Vec::new();
+        // invalid input keeps the engine constructible; runs report
+        // InputLengthMismatch
+        if labels.len() == g.node_count() {
+            sorted_offsets.reserve(g.node_count() + 1);
+            sorted_nbrs.reserve(2 * g.edge_count());
+            sorted_offsets.push(0);
+            let mut buf: Vec<NodeId> = Vec::new();
+            for v in g.nodes() {
+                buf.clear();
+                buf.extend_from_slice(g.neighbors(v));
+                // stable, so ties keep the adjacency order
+                buf.sort_by_key(|&u| M::sort_key(labels[u]));
+                sorted_nbrs.extend(buf.iter().map(|&u| u as u32));
+                sorted_offsets.push(sorted_nbrs.len() as u32);
+            }
+        }
+        KeyEngine {
             g,
-            rank,
-            csr: g.to_csr(),
+            keys: KeyClasses {
+                labels,
+                csr: g.to_csr(),
+                interner: KeyInterner::new(),
+                scratch: NbhdScratch::new(),
+                key: Vec::new(),
+            },
             sorted_offsets,
             sorted_nbrs,
-            interner: KeyInterner::new(),
-            key_buf: Vec::new(),
-            scratch: NbhdScratch::new(),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("oi"),
+            log: RunLog::new(M::NAME),
         }
     }
 
     /// Counters of the runs executed so far.
     pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
+        &self.log.stats
     }
 
-    /// The ordered neighbourhood of `v` — bit-identical to
-    /// [`locap_graph::canon::ordered_nbhd`].
-    pub fn nbhd(&mut self, v: NodeId, r: usize) -> OrderedNbhd {
-        ordered_nbhd_fast(self.g, self.rank, v, r, &mut self.scratch)
+    fn run_vertex(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        evaluate: impl FnMut(&M::Nbhd) -> bool,
+    ) -> Result<Budgeted<Vec<bool>>, RunError> {
+        check_len(M::LABELS, self.g.node_count(), self.keys.labels.len())?;
+        let _span = obs::span(&self.log.run_vertex);
+        let n = self.g.node_count();
+        let mut out = Vec::with_capacity(n);
+        let assemble = |_, &bit: &bool| {
+            out.push(bit);
+            Ok(())
+        };
+        let truncation =
+            run_memoised(n, r, &mut self.keys, budget, &mut self.log, evaluate, assemble)?;
+        self.keys.interner.publish_obs();
+        Ok(Budgeted { value: out, truncation })
     }
 
-    /// The `rank` length precondition, shared by both run paths.
-    fn validate(&self) -> Result<(), RunError> {
-        if self.rank.len() != self.g.node_count() {
-            return Err(RunError::InputLengthMismatch {
-                what: "rank",
-                expected: self.g.node_count(),
-                actual: self.rank.len(),
+    /// Edge outputs are indexed by the node's neighbours in increasing
+    /// label order; an edge is selected when either endpoint selects it.
+    fn run_edge(
+        &mut self,
+        r: usize,
+        budget: &RunBudget,
+        evaluate: impl FnMut(&M::Nbhd) -> Vec<bool>,
+    ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
+        check_len(M::LABELS, self.g.node_count(), self.keys.labels.len())?;
+        let _span = obs::span(&self.log.run_edge);
+        let (g, offsets, nbrs) = (self.g, &self.sorted_offsets, &self.sorted_nbrs);
+        let mut out = BTreeSet::new();
+        let assemble = |v: NodeId, bits: &Vec<bool>| {
+            if bits.len() != g.degree(v) {
+                return Err(RunError::OutputLengthMismatch {
+                    node: v,
+                    expected: g.degree(v),
+                    actual: bits.len(),
+                }
+                .publish());
             }
-            .publish());
-        }
-        Ok(())
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            for (&u, _) in nbrs[lo..hi].iter().zip(bits).filter(|(_, &b)| b) {
+                out.insert(Edge::new(v, u as NodeId));
+            }
+            Ok(())
+        };
+        let n = g.node_count();
+        let truncation =
+            run_memoised(n, r, &mut self.keys, budget, &mut self.log, evaluate, assemble)?;
+        self.keys.interner.publish_obs();
+        Ok(Budgeted { value: out, truncation })
     }
+}
 
-    /// Runs an OI vertex algorithm, evaluating once per distinct type.
-    /// Bit-identical to [`crate::run::oi_vertex_naive`].
+impl OiEngine<'_> {
+    /// Runs an OI vertex algorithm, evaluating once per distinct ordered
+    /// type. The cache cap bounds the distinct types of this run and the
+    /// deadline is checked per vertex; on truncation the value is the
+    /// per-vertex prefix computed so far.
     ///
     /// # Errors
     ///
     /// [`RunError::InputLengthMismatch`] when `rank` does not cover
     /// every node.
-    pub fn run_vertex<A: OiVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`OiEngine::run_vertex`]: the cache cap bounds the
-    /// type-interning memo and the deadline is checked per vertex; on
-    /// truncation the value is the per-vertex prefix computed so far.
-    // lint: hot
     pub fn run_vertex_budgeted<A: OiVertexAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/oi/run_vertex");
-        let r = algo.radius();
-        // memo over intern ids; `seen` counts the distinct types of THIS
-        // run (the quantity the budget's cache cap bounds), since the
-        // interner itself persists across runs
-        let mut memo: Vec<Option<bool>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(self.g.node_count());
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for v in 0..self.g.node_count() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            ordered_key_into(&self.csr, self.rank, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            let bit = match memo[id] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    if let Some(tr) = budget.check_cache(seen + 1) {
-                        truncation = Some(tr.publish());
-                        break;
-                    }
-                    evals += 1;
-                    trace_miss("engine/oi/miss", v, seen as i64);
-                    let b = algo.evaluate(&OrderedNbhd::from_key(&key));
-                    memo[id] = Some(b);
-                    seen += 1;
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(out.len(), seen, evals, hits);
-        trace_dedup("engine/oi/dedup", out.len(), seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
+        self.run_vertex(algo.radius(), budget, |t| algo.evaluate(t))
     }
 
-    /// Runs an OI edge algorithm, evaluating once per distinct type; the
-    /// per-vertex assembly (degree check included) matches
-    /// [`crate::run::oi_edge_naive`].
+    /// Runs an OI edge algorithm, evaluating once per distinct ordered
+    /// type; output bits are indexed by neighbours in increasing rank
+    /// order. On truncation the value holds the edges selected by the
+    /// vertices processed so far.
     ///
     /// # Errors
     ///
     /// [`RunError::InputLengthMismatch`] for a short `rank`,
     /// [`RunError::OutputLengthMismatch`] when the algorithm's output
     /// does not match a node's degree.
-    pub fn run_edge<A: OiEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`OiEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
     pub fn run_edge_budgeted<A: OiEdgeAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/oi/run_edge");
-        let r = algo.radius();
-        let mut memo: Vec<Option<Vec<bool>>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for v in self.g.nodes() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            ordered_key_into(&self.csr, self.rank, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            if memo[id].is_none() {
-                if let Some(tr) = budget.check_cache(seen + 1) {
-                    truncation = Some(tr.publish());
-                    break;
-                }
-                evals += 1;
-                trace_miss("engine/oi/miss", v, seen as i64);
-                memo[id] = Some(algo.evaluate(&OrderedNbhd::from_key(&key)));
-                seen += 1;
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = memo[id].as_ref() else {
-                continue; // unreachable: just filled above
-            };
-            if bits.len() != self.g.degree(v) {
-                self.key_buf = key;
-                return Err(RunError::OutputLengthMismatch {
-                    node: v,
-                    expected: self.g.degree(v),
-                    actual: bits.len(),
-                }
-                .publish());
-            }
-            let (lo, hi) = (self.sorted_offsets[v] as usize, self.sorted_offsets[v + 1] as usize);
-            for (i, &u) in self.sorted_nbrs[lo..hi].iter().enumerate() {
-                if bits[i] {
-                    out.insert(Edge::new(v, u as NodeId));
-                }
-            }
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(processed, seen, evals, hits);
-        trace_dedup("engine/oi/dedup", processed, seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
+        self.run_edge(algo.radius(), budget, |t| algo.evaluate(t))
     }
 }
 
-/// The ID-model engine: `O(|ball|)` extraction through a reusable scratch
-/// plus type interning. Identifiers being globally unique, the dedup
-/// ratio is usually 1 on connected graphs with `r ≥ 1` — the win here is
-/// the extraction fast path, and radius-0 / disconnected corner cases
-/// still dedup.
-pub struct IdEngine<'g> {
-    g: &'g Graph,
-    ids: &'g [u64],
-    /// Flat adjacency mirror of `g` for the extraction hot loop.
-    csr: CsrGraph,
-    /// Identifier-sorted adjacency; empty until `ids` covers the graph.
-    sorted_offsets: Vec<u32>,
-    sorted_nbrs: Vec<u32>,
-    /// Canonical-form registry shared across runs: same type, same id.
-    interner: KeyInterner,
-    key_buf: Vec<u64>,
-    scratch: NbhdScratch,
-    run_stats: EngineStats,
-    obs: EngineObs,
-}
-
-impl<'g> IdEngine<'g> {
-    /// Creates an engine for `(g, ids)`.
-    pub fn new(g: &'g Graph, ids: &'g [u64]) -> IdEngine<'g> {
-        let (sorted_offsets, sorted_nbrs) = if ids.len() == g.node_count() {
-            key_sorted_adj(g, |u| ids[u])
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        IdEngine {
-            g,
-            ids,
-            csr: g.to_csr(),
-            sorted_offsets,
-            sorted_nbrs,
-            interner: KeyInterner::new(),
-            key_buf: Vec::new(),
-            scratch: NbhdScratch::new(),
-            run_stats: EngineStats::default(),
-            obs: EngineObs::new("id"),
-        }
-    }
-
-    /// Counters of the runs executed so far.
-    pub fn run_stats(&self) -> &EngineStats {
-        &self.run_stats
-    }
-
-    /// The ID neighbourhood of `v` — bit-identical to
-    /// [`locap_graph::canon::id_nbhd`].
-    pub fn nbhd(&mut self, v: NodeId, r: usize) -> IdNbhd {
-        id_nbhd_fast(self.g, self.ids, v, r, &mut self.scratch)
-    }
-
-    /// The `ids` length precondition, shared by both run paths.
-    fn validate(&self) -> Result<(), RunError> {
-        if self.ids.len() != self.g.node_count() {
-            return Err(RunError::InputLengthMismatch {
-                what: "ids",
-                expected: self.g.node_count(),
-                actual: self.ids.len(),
-            }
-            .publish());
-        }
-        Ok(())
-    }
-
+impl IdEngine<'_> {
     /// Runs an ID vertex algorithm, evaluating once per distinct
-    /// neighbourhood. Bit-identical to [`crate::run::id_vertex_naive`].
+    /// neighbourhood; budget semantics as for [`OiEngine`].
     ///
     /// # Errors
     ///
     /// [`RunError::InputLengthMismatch`] when `ids` does not cover
     /// every node.
-    pub fn run_vertex<A: IdVertexAlgorithm>(&mut self, algo: &A) -> Result<Vec<bool>, RunError> {
-        Ok(self.run_vertex_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`IdEngine::run_vertex`]; on truncation the value
-    /// is the per-vertex prefix computed so far.
-    // lint: hot
     pub fn run_vertex_budgeted<A: IdVertexAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<Vec<bool>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/id/run_vertex");
-        let r = algo.radius();
-        let mut memo: Vec<Option<bool>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(self.g.node_count());
-        let mut truncation = None;
-        // lint: hot-setup-end
-        for v in 0..self.g.node_count() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            id_key_into(&self.csr, self.ids, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            let bit = match memo[id] {
-                Some(b) => {
-                    hits += 1;
-                    b
-                }
-                None => {
-                    if let Some(tr) = budget.check_cache(seen + 1) {
-                        truncation = Some(tr.publish());
-                        break;
-                    }
-                    evals += 1;
-                    trace_miss("engine/id/miss", v, seen as i64);
-                    let b = algo.evaluate(&IdNbhd::from_key(&key));
-                    memo[id] = Some(b);
-                    seen += 1;
-                    b
-                }
-            };
-            out.push(bit);
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += out.len();
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(out.len(), seen, evals, hits);
-        trace_dedup("engine/id/dedup", out.len(), seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
+        self.run_vertex(algo.radius(), budget, |t| algo.evaluate(t))
     }
 
-    /// Runs an ID edge algorithm; assembly matches
-    /// [`crate::run::id_edge_naive`].
+    /// Runs an ID edge algorithm; output bits are indexed by neighbours
+    /// in increasing identifier order.
     ///
     /// # Errors
     ///
     /// [`RunError::InputLengthMismatch`] for short `ids`,
     /// [`RunError::OutputLengthMismatch`] when the algorithm's output
     /// does not match a node's degree.
-    pub fn run_edge<A: IdEdgeAlgorithm>(&mut self, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-        Ok(self.run_edge_budgeted(algo, &RunBudget::unlimited())?.value)
-    }
-
-    /// Budget-aware [`IdEngine::run_edge`]; on truncation the value
-    /// holds the edges selected by the vertices processed so far.
     pub fn run_edge_budgeted<A: IdEdgeAlgorithm>(
         &mut self,
         algo: &A,
         budget: &RunBudget,
     ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
-        self.validate()?;
-        let _span = obs::span("engine/id/run_edge");
-        let r = algo.radius();
-        let mut memo: Vec<Option<Vec<bool>>> = Vec::new();
-        let mut seen = 0usize;
-        let mut key = std::mem::take(&mut self.key_buf);
-        let mut out = BTreeSet::new();
-        let (mut evals, mut hits) = (0u64, 0u64);
-        let mut truncation = None;
-        let mut processed = 0usize;
-        for v in self.g.nodes() {
-            if let Some(t) = budget.check_interrupt() {
-                truncation = Some(t.publish());
-                break;
-            }
-            id_key_into(&self.csr, self.ids, v, r, &mut self.scratch, &mut key);
-            let id = self.interner.intern(&key) as usize;
-            if id >= memo.len() {
-                memo.resize(id + 1, None);
-            }
-            if memo[id].is_none() {
-                if let Some(tr) = budget.check_cache(seen + 1) {
-                    truncation = Some(tr.publish());
-                    break;
-                }
-                evals += 1;
-                trace_miss("engine/id/miss", v, seen as i64);
-                memo[id] = Some(algo.evaluate(&IdNbhd::from_key(&key)));
-                seen += 1;
-            } else {
-                hits += 1;
-            }
-            processed += 1;
-            let Some(bits) = memo[id].as_ref() else {
-                continue; // unreachable: just filled above
-            };
-            if bits.len() != self.g.degree(v) {
-                self.key_buf = key;
-                return Err(RunError::OutputLengthMismatch {
-                    node: v,
-                    expected: self.g.degree(v),
-                    actual: bits.len(),
-                }
-                .publish());
-            }
-            let (lo, hi) = (self.sorted_offsets[v] as usize, self.sorted_offsets[v + 1] as usize);
-            for (i, &u) in self.sorted_nbrs[lo..hi].iter().enumerate() {
-                if bits[i] {
-                    out.insert(Edge::new(v, u as NodeId));
-                }
-            }
-        }
-        self.key_buf = key;
-        self.interner.publish_obs();
-        self.run_stats.vertices += processed;
-        self.run_stats.evals += evals;
-        self.run_stats.hits += hits;
-        self.run_stats.classes = seen;
-        self.obs.publish(processed, seen, evals, hits);
-        trace_dedup("engine/id/dedup", processed, seen, evals, hits);
-        Ok(Budgeted { value: out, truncation })
+        self.run_edge(algo.radius(), budget, |t| algo.evaluate(t))
     }
 }
 
@@ -796,7 +607,6 @@ impl<'g> IdEngine<'g> {
 mod tests {
     use super::*;
     use locap_graph::gen;
-    use locap_lifts::Letter;
 
     struct LocalMin;
     impl OiVertexAlgorithm for LocalMin {
@@ -818,6 +628,10 @@ mod tests {
         }
     }
 
+    fn free() -> RunBudget {
+        RunBudget::unlimited()
+    }
+
     #[test]
     fn po_engine_broadcasts_on_symmetric_graph() {
         struct JoinAll;
@@ -831,8 +645,9 @@ mod tests {
         }
         let d = gen::directed_cycle(50);
         let mut engine = ViewEngine::new(&d);
-        let bits = engine.run_vertex(&JoinAll).unwrap();
-        assert!(bits.iter().all(|&b| b));
+        let bits = engine.run_vertex_budgeted(&JoinAll, &free()).unwrap();
+        assert!(bits.is_complete());
+        assert!(bits.value.iter().all(|&b| b));
         let stats = engine.run_stats();
         assert_eq!(stats.vertices, 50);
         assert_eq!(stats.classes, 1, "directed cycle has one view class");
@@ -844,8 +659,8 @@ mod tests {
     fn po_edge_engine_matches_naive() {
         let d = gen::directed_cycle(5);
         let mut engine = ViewEngine::new(&d);
-        let set = engine.run_edge(&OutZero).unwrap();
-        assert_eq!(set, crate::run::po_edge_naive(&d, &OutZero).unwrap());
+        let set = engine.run_edge_budgeted(&OutZero, &free()).unwrap().value;
+        assert_eq!(set, crate::oracle::po_edge(&d, &OutZero).unwrap());
         assert_eq!(set.len(), 5);
     }
 
@@ -854,8 +669,8 @@ mod tests {
         let g = gen::cycle(100);
         let rank: Vec<usize> = (0..100).collect();
         let mut engine = OiEngine::new(&g, &rank);
-        let bits = engine.run_vertex(&LocalMin).unwrap();
-        assert_eq!(bits, crate::run::oi_vertex_naive(&g, &rank, &LocalMin).unwrap());
+        let bits = engine.run_vertex_budgeted(&LocalMin, &free()).unwrap().value;
+        assert_eq!(bits, crate::oracle::oi_vertex(&g, &rank, &LocalMin).unwrap());
         let stats = engine.run_stats();
         assert_eq!(stats.classes, 3, "interior + two seam types");
         assert_eq!(stats.evals, 3);
@@ -877,17 +692,10 @@ mod tests {
         let ids = vec![10, 60, 20, 50, 30, 40];
         let mut engine = IdEngine::new(&g, &ids);
         assert_eq!(
-            engine.run_vertex(&LocalMaxId).unwrap(),
-            crate::run::id_vertex_naive(&g, &ids, &LocalMaxId).unwrap()
+            engine.run_vertex_budgeted(&LocalMaxId, &free()).unwrap().value,
+            crate::oracle::id_vertex(&g, &ids, &LocalMaxId).unwrap()
         );
         // every ball carries distinct ids: no dedup expected
         assert_eq!(engine.run_stats().classes, 6);
-    }
-
-    #[test]
-    fn engine_stats_summary_format() {
-        let stats = EngineStats { vertices: 50, classes: 1, evals: 1, hits: 49 };
-        assert!(stats.summary().contains("dedup 50.0x"));
-        assert!((stats.dedup_ratio() - 50.0).abs() < 1e-9);
     }
 }

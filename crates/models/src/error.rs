@@ -111,6 +111,19 @@ impl RunError {
     }
 }
 
+/// The per-node slice precondition: a slice `what` of length `actual`
+/// must cover all `expected` nodes.
+pub(crate) fn check_len(
+    what: &'static str,
+    expected: usize,
+    actual: usize,
+) -> Result<(), RunError> {
+    if actual != expected {
+        return Err(RunError::InputLengthMismatch { what, expected, actual }.publish());
+    }
+    Ok(())
+}
+
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -11,9 +11,14 @@
 //! | **OI** (§2.4) | τ(G, <, v) up to order-isomorphism — [`locap_graph::canon::OrderedNbhd`] | [`OiVertexAlgorithm`] / [`OiEdgeAlgorithm`] |
 //! | **PO** (§2.5) | the view τ(T(G, v)) — [`locap_lifts::ViewTree`] | [`PoVertexAlgorithm`] / [`PoEdgeAlgorithm`] |
 //!
-//! [`run`] executes an algorithm over a whole instance and assembles the
-//! global solution (a vertex set or an edge set); an edge belongs to the
-//! solution when *either* endpoint selects it.
+//! [`run`] executes an algorithm over a whole instance under a
+//! [`RunBudget`](locap_graph::budget::RunBudget) and assembles the global
+//! solution (a vertex set or an edge set); an edge belongs to the
+//! solution when *either* endpoint selects it. It has one budgeted entry
+//! per model and output kind, each a thin wrapper over [`engine`], whose
+//! single memoised loop evaluates the algorithm once per neighbourhood
+//! class. [`oracle`] keeps the per-vertex reference runs the engine is
+//! tested and benchmarked against.
 //!
 //! The crate also provides:
 //!
@@ -31,6 +36,7 @@ pub mod checkable;
 pub mod engine;
 pub mod error;
 pub mod invariance;
+pub mod oracle;
 pub mod run;
 pub mod sim;
 mod traits;

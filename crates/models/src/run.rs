@@ -1,4 +1,5 @@
-//! Whole-instance execution of local algorithms.
+//! Whole-instance execution of local algorithms: one budgeted entry
+//! point per model and output kind.
 //!
 //! Vertex algorithms return one bit per node ([`Vec<bool>`]); edge
 //! algorithms return per-node incidence selections that are assembled into
@@ -7,19 +8,18 @@
 //! `Ω = {0,1}^Δ` encoding where the solution is the set of selected
 //! edges).
 //!
-//! Every entry point returns a typed [`RunError`] instead of panicking on
-//! malformed input (short `ids`/`rank`, wrong-length edge outputs, absent
-//! letters). The `*_budgeted` variants additionally accept a
-//! [`RunBudget`] and return a [`Budgeted`] value whose `truncation` field
-//! records why a run stopped early; the plain variants are the unlimited
-//! special case.
+//! Each entry builds a fresh engine from [`crate::engine`] and runs it
+//! under a [`RunBudget`]; pass `&RunBudget::unlimited()` for an unbounded
+//! run. The returned [`Budgeted`] value's `truncation` field records why
+//! a run stopped early. Malformed input (short `ids`/`rank`, wrong-length
+//! edge outputs, absent letters) is a typed [`RunError`], never a panic.
+//! The per-vertex reference paths live in [`crate::oracle`].
 
 use std::collections::BTreeSet;
 
 use locap_graph::budget::{Budgeted, RunBudget};
-use locap_graph::canon::{id_nbhd, ordered_nbhd};
 use locap_graph::{Edge, Graph, LDigraph};
-use locap_lifts::{view, Letter};
+use locap_lifts::Letter;
 use locap_obs as obs;
 
 use crate::engine::{IdEngine, OiEngine, ViewEngine};
@@ -29,52 +29,14 @@ use crate::{
     PoVertexAlgorithm,
 };
 
-/// Shared precondition of the ID paths: `ids` must cover every node.
-fn validate_ids(g: &Graph, ids: &[u64]) -> Result<(), RunError> {
-    if ids.len() != g.node_count() {
-        return Err(RunError::InputLengthMismatch {
-            what: "ids",
-            expected: g.node_count(),
-            actual: ids.len(),
-        }
-        .publish());
-    }
-    Ok(())
-}
-
-/// Shared precondition of the OI paths: `rank` must cover every node.
-fn validate_rank(g: &Graph, rank: &[usize]) -> Result<(), RunError> {
-    if rank.len() != g.node_count() {
-        return Err(RunError::InputLengthMismatch {
-            what: "rank",
-            expected: g.node_count(),
-            actual: rank.len(),
-        }
-        .publish());
-    }
-    Ok(())
-}
-
-/// Runs an ID vertex algorithm on `(g, ids)`; returns one bit per node.
-///
-/// Engine-backed ([`crate::engine::IdEngine`]): neighbourhood extraction
-/// is `O(|ball|)` and each distinct neighbourhood is evaluated once. The
-/// reference path survives as [`id_vertex_naive`].
+/// Runs an ID vertex algorithm on `(g, ids)`; returns one bit per node,
+/// evaluating each distinct neighbourhood once ([`IdEngine`]). On
+/// truncation the value is the per-vertex prefix computed before the
+/// budget tripped.
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] when `ids` does not cover every node.
-pub fn id_vertex<A: IdVertexAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/id_vertex", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_vertex(algo)
-}
-
-/// Budget-aware [`id_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped.
 pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -85,42 +47,15 @@ pub fn id_vertex_budgeted<A: IdVertexAlgorithm>(
     IdEngine::new(g, ids).run_vertex_budgeted(algo, budget)
 }
 
-/// The reference (per-vertex, no sharing) implementation of
-/// [`id_vertex`]; kept as the differential-testing oracle.
-///
-/// # Errors
-///
-/// [`RunError::InputLengthMismatch`] when `ids` does not cover every node.
-pub fn id_vertex_naive<A: IdVertexAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    validate_ids(g, ids)?;
-    Ok(g.nodes().map(|v| algo.evaluate(&id_nbhd(g, ids, v, algo.radius()))).collect())
-}
-
-/// Runs an OI vertex algorithm on `(g, rank)`; returns one bit per node.
-///
-/// Engine-backed ([`crate::engine::OiEngine`]): each distinct ordered
-/// type is evaluated once and broadcast. The reference path survives as
-/// [`oi_vertex_naive`].
+/// Runs an OI vertex algorithm on `(g, rank)`; returns one bit per node,
+/// evaluating each distinct ordered type once ([`OiEngine`]). On
+/// truncation the value is the per-vertex prefix computed before the
+/// budget tripped.
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] when `rank` does not cover every
 /// node.
-pub fn oi_vertex<A: OiVertexAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/oi_vertex", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_vertex(algo)
-}
-
-/// Budget-aware [`oi_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped.
 pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
     g: &Graph,
     rank: &[usize],
@@ -131,43 +66,17 @@ pub fn oi_vertex_budgeted<A: OiVertexAlgorithm>(
     OiEngine::new(g, rank).run_vertex_budgeted(algo, budget)
 }
 
-/// The reference (per-vertex, no sharing) implementation of
-/// [`oi_vertex`]; kept as the differential-testing oracle.
-///
-/// # Errors
-///
-/// [`RunError::InputLengthMismatch`] when `rank` does not cover every
-/// node.
-pub fn oi_vertex_naive<A: OiVertexAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    validate_rank(g, rank)?;
-    Ok(g.nodes()
-        .map(|v| algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius())))
-        .collect())
-}
-
 /// Runs a PO vertex algorithm on an L-digraph; returns one bit per node.
-///
-/// Engine-backed ([`crate::engine::ViewEngine`]): view classes are
-/// computed for all vertices at once by incremental class refinement and
-/// the algorithm is evaluated once per class. The reference path survives
-/// as [`po_vertex_naive`].
+/// View classes are computed for all vertices at once by incremental
+/// class refinement and the algorithm is evaluated once per class
+/// ([`ViewEngine`]). On truncation the value is the per-vertex prefix
+/// computed before the budget tripped (empty when the view-cache cap
+/// stopped the class refinement itself).
 ///
 /// # Errors
 ///
 /// Currently infallible (PO vertex runs carry no auxiliary input);
 /// `Result` for uniformity with the ID/OI entry points.
-pub fn po_vertex<A: PoVertexAlgorithm>(d: &LDigraph, algo: &A) -> Result<Vec<bool>, RunError> {
-    let _s = obs::span_with("run/po_vertex", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_vertex(algo)
-}
-
-/// Budget-aware [`po_vertex`]; on truncation the value is the per-vertex
-/// prefix computed before the budget tripped (empty when the view-cache
-/// cap stopped the class refinement itself).
 pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -175,19 +84,6 @@ pub fn po_vertex_budgeted<A: PoVertexAlgorithm>(
 ) -> Result<Budgeted<Vec<bool>>, RunError> {
     let _s = obs::span_with("run/po_vertex", &[("nodes", d.node_count() as i64)]);
     ViewEngine::new(d).run_vertex_budgeted(algo, budget)
-}
-
-/// The reference (per-vertex, no sharing) implementation of
-/// [`po_vertex`]; kept as the differential-testing oracle.
-///
-/// # Errors
-///
-/// Currently infallible; `Result` for uniformity with [`po_vertex`].
-pub fn po_vertex_naive<A: PoVertexAlgorithm>(
-    d: &LDigraph,
-    algo: &A,
-) -> Result<Vec<bool>, RunError> {
-    Ok((0..d.node_count()).map(|v| algo.evaluate(&view(d, v, algo.radius()))).collect())
 }
 
 /// Converts a per-node bit vector into the selected vertex set.
@@ -205,29 +101,17 @@ pub fn agreement(a: &[bool], b: &[bool]) -> f64 {
     same as f64 / a.len() as f64
 }
 
-/// Runs an ID edge algorithm; assembles the union edge set.
-///
-/// The algorithm's output for node `v` must have length `deg(v)` and is
-/// indexed by `v`'s neighbours in increasing identifier order.
-///
-/// Engine-backed; [`id_edge_naive`] is the reference path.
+/// Runs an ID edge algorithm; assembles the union edge set. The
+/// algorithm's output for node `v` must have length `deg(v)` and is
+/// indexed by `v`'s neighbours in increasing identifier order. On
+/// truncation the value holds the edges selected by the vertices
+/// processed before the budget tripped.
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] for a short `ids`,
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
-pub fn id_edge<A: IdEdgeAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/id_edge", &[("nodes", g.node_count() as i64)]);
-    IdEngine::new(g, ids).run_edge(algo)
-}
-
-/// Budget-aware [`id_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     g: &Graph,
     ids: &[u64],
@@ -238,61 +122,16 @@ pub fn id_edge_budgeted<A: IdEdgeAlgorithm>(
     IdEngine::new(g, ids).run_edge_budgeted(algo, budget)
 }
 
-/// The reference implementation of [`id_edge`]; kept as the
-/// differential-testing oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`id_edge`].
-pub fn id_edge_naive<A: IdEdgeAlgorithm>(
-    g: &Graph,
-    ids: &[u64],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    validate_ids(g, ids)?;
-    let mut out = BTreeSet::new();
-    for v in g.nodes() {
-        let bits = algo.evaluate(&id_nbhd(g, ids, v, algo.radius()));
-        if bits.len() != g.degree(v) {
-            return Err(RunError::OutputLengthMismatch {
-                node: v,
-                expected: g.degree(v),
-                actual: bits.len(),
-            }
-            .publish());
-        }
-        let mut nbrs = g.neighbors(v).to_vec();
-        nbrs.sort_by_key(|&u| ids[u]);
-        for (i, &u) in nbrs.iter().enumerate() {
-            if bits[i] {
-                out.insert(Edge::new(v, u));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Runs an OI edge algorithm; assembles the union edge set. Output bits are
-/// indexed by neighbours in increasing rank order.
-///
-/// Engine-backed; [`oi_edge_naive`] is the reference path.
+/// Runs an OI edge algorithm; assembles the union edge set. Output bits
+/// are indexed by neighbours in increasing rank order. On truncation the
+/// value holds the edges selected by the vertices processed before the
+/// budget tripped.
 ///
 /// # Errors
 ///
 /// [`RunError::InputLengthMismatch`] for a short `rank`,
 /// [`RunError::OutputLengthMismatch`] when an output vector has the wrong
 /// length.
-pub fn oi_edge<A: OiEdgeAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/oi_edge", &[("nodes", g.node_count() as i64)]);
-    OiEngine::new(g, rank).run_edge(algo)
-}
-
-/// Budget-aware [`oi_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     g: &Graph,
     rank: &[usize],
@@ -303,57 +142,16 @@ pub fn oi_edge_budgeted<A: OiEdgeAlgorithm>(
     OiEngine::new(g, rank).run_edge_budgeted(algo, budget)
 }
 
-/// The reference implementation of [`oi_edge`]; kept as the
-/// differential-testing oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`oi_edge`].
-pub fn oi_edge_naive<A: OiEdgeAlgorithm>(
-    g: &Graph,
-    rank: &[usize],
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    validate_rank(g, rank)?;
-    let mut out = BTreeSet::new();
-    for v in g.nodes() {
-        let bits = algo.evaluate(&ordered_nbhd(g, rank, v, algo.radius()));
-        if bits.len() != g.degree(v) {
-            return Err(RunError::OutputLengthMismatch {
-                node: v,
-                expected: g.degree(v),
-                actual: bits.len(),
-            }
-            .publish());
-        }
-        let mut nbrs = g.neighbors(v).to_vec();
-        nbrs.sort_by_key(|&u| rank[u]);
-        for (i, &u) in nbrs.iter().enumerate() {
-            if bits[i] {
-                out.insert(Edge::new(v, u));
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Runs a PO edge algorithm on an L-digraph; assembles the union edge set
 /// over the underlying simple graph. A positive letter `ℓ` selects the
 /// outgoing edge labelled `ℓ`; an inverse letter selects the incoming one.
-///
-/// Engine-backed; [`po_edge_naive`] is the reference path.
+/// On truncation the value holds the edges selected by the vertices
+/// processed before the budget tripped.
 ///
 /// # Errors
 ///
 /// [`RunError::AbsentLetter`] when the algorithm selects a letter the node
 /// does not have.
-pub fn po_edge<A: PoEdgeAlgorithm>(d: &LDigraph, algo: &A) -> Result<BTreeSet<Edge>, RunError> {
-    let _s = obs::span_with("run/po_edge", &[("nodes", d.node_count() as i64)]);
-    ViewEngine::new(d).run_edge(algo)
-}
-
-/// Budget-aware [`po_edge`]; on truncation the value holds the edges
-/// selected by the vertices processed before the budget tripped.
 pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
     d: &LDigraph,
     algo: &A,
@@ -361,38 +159,6 @@ pub fn po_edge_budgeted<A: PoEdgeAlgorithm>(
 ) -> Result<Budgeted<BTreeSet<Edge>>, RunError> {
     let _s = obs::span_with("run/po_edge", &[("nodes", d.node_count() as i64)]);
     ViewEngine::new(d).run_edge_budgeted(algo, budget)
-}
-
-/// The reference implementation of [`po_edge`]; kept as the
-/// differential-testing oracle.
-///
-/// # Errors
-///
-/// Same conditions as [`po_edge`].
-pub fn po_edge_naive<A: PoEdgeAlgorithm>(
-    d: &LDigraph,
-    algo: &A,
-) -> Result<BTreeSet<Edge>, RunError> {
-    let mut out = BTreeSet::new();
-    for v in 0..d.node_count() {
-        for (letter, selected) in algo.evaluate(&view(d, v, algo.radius())) {
-            if !selected {
-                continue;
-            }
-            let target = if letter.inverse {
-                d.in_neighbor(v, letter.label)
-            } else {
-                d.out_neighbor(v, letter.label)
-            };
-            let Some(u) = target else {
-                return Err(
-                    RunError::AbsentLetter { node: v, letter: letter.to_string() }.publish()
-                );
-            };
-            out.insert(Edge::new(v, u));
-        }
-    }
-    Ok(out)
 }
 
 /// The root letters (incident edges) available at node `v` of `d`,
@@ -417,6 +183,10 @@ mod tests {
     use locap_graph::canon::{IdNbhd, OrderedNbhd};
     use locap_graph::gen;
     use locap_lifts::ViewTree;
+
+    fn free() -> RunBudget {
+        RunBudget::unlimited()
+    }
 
     #[test]
     fn to_vertex_set_edge_cases() {
@@ -492,7 +262,7 @@ mod tests {
     fn oi_local_min_is_independent_set() {
         let g = gen::cycle(9);
         let rank: Vec<usize> = (0..9).collect();
-        let bits = oi_vertex(&g, &rank, &LocalMin).unwrap();
+        let bits = oi_vertex_budgeted(&g, &rank, &LocalMin, &free()).unwrap().value;
         let set = to_vertex_set(&bits);
         // local minima under identity order on a cycle: node 0 only? No:
         // v is a local min iff v < v-1 and v < v+1; for identity order on
@@ -512,7 +282,7 @@ mod tests {
     fn id_local_max_matches_oi_behaviour() {
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20, 50, 30, 40];
-        let bits = id_vertex(&g, &ids, &LocalMaxId).unwrap();
+        let bits = id_vertex_budgeted(&g, &ids, &LocalMaxId, &free()).unwrap().value;
         let set = to_vertex_set(&bits);
         // local maxima of (10,60,20,50,30,40) on the cycle: 60 at node 1,
         // 50 at node 3, 40 at node 5.
@@ -524,8 +294,8 @@ mod tests {
         let g = gen::cycle(6);
         let ids = vec![10, 60, 20]; // three short
         let want = RunError::InputLengthMismatch { what: "ids", expected: 6, actual: 3 };
-        assert_eq!(id_vertex(&g, &ids, &LocalMaxId).unwrap_err(), want);
-        assert_eq!(id_vertex_naive(&g, &ids, &LocalMaxId).unwrap_err(), want);
+        assert_eq!(id_vertex_budgeted(&g, &ids, &LocalMaxId, &free()).unwrap_err(), want);
+        assert_eq!(crate::oracle::id_vertex(&g, &ids, &LocalMaxId).unwrap_err(), want);
     }
 
     #[test]
@@ -533,21 +303,21 @@ mod tests {
         let g = gen::cycle(9);
         let rank: Vec<usize> = (0..4).collect();
         let want = RunError::InputLengthMismatch { what: "rank", expected: 9, actual: 4 };
-        assert_eq!(oi_vertex(&g, &rank, &LocalMin).unwrap_err(), want);
-        assert_eq!(oi_vertex_naive(&g, &rank, &LocalMin).unwrap_err(), want);
+        assert_eq!(oi_vertex_budgeted(&g, &rank, &LocalMin, &free()).unwrap_err(), want);
+        assert_eq!(crate::oracle::oi_vertex(&g, &rank, &LocalMin).unwrap_err(), want);
     }
 
     #[test]
     fn po_out_zero_selects_every_edge_once() {
         let d = gen::directed_cycle(5);
-        let set = po_edge(&d, &OutZero).unwrap();
+        let set = po_edge_budgeted(&d, &OutZero, &free()).unwrap().value;
         assert_eq!(set.len(), 5, "every node selects its outgoing edge");
     }
 
     #[test]
     fn po_edge_radius_zero_selects_nothing() {
         let d = gen::directed_cycle(5);
-        let set = po_edge(&d, &AllEdges).unwrap();
+        let set = po_edge_budgeted(&d, &AllEdges, &free()).unwrap().value;
         assert!(set.is_empty());
     }
 
@@ -564,9 +334,12 @@ mod tests {
             }
         }
         let d = gen::directed_cycle(4);
-        assert!(matches!(po_edge(&d, &SelectMissing).unwrap_err(), RunError::AbsentLetter { .. }));
         assert!(matches!(
-            po_edge_naive(&d, &SelectMissing).unwrap_err(),
+            po_edge_budgeted(&d, &SelectMissing, &free()).unwrap_err(),
+            RunError::AbsentLetter { .. }
+        ));
+        assert!(matches!(
+            crate::oracle::po_edge(&d, &SelectMissing).unwrap_err(),
             RunError::AbsentLetter { .. }
         ));
     }
@@ -586,8 +359,8 @@ mod tests {
         let g = gen::cycle(5); // every node has degree 2
         let rank: Vec<usize> = (0..5).collect();
         let want = RunError::OutputLengthMismatch { node: 0, expected: 2, actual: 1 };
-        assert_eq!(oi_edge(&g, &rank, &OneBit).unwrap_err(), want);
-        assert_eq!(oi_edge_naive(&g, &rank, &OneBit).unwrap_err(), want);
+        assert_eq!(oi_edge_budgeted(&g, &rank, &OneBit, &free()).unwrap_err(), want);
+        assert_eq!(crate::oracle::oi_edge(&g, &rank, &OneBit).unwrap_err(), want);
     }
 
     #[test]
@@ -625,7 +398,7 @@ mod tests {
         }
         let g = gen::path(3);
         let rank: Vec<usize> = (0..3).collect();
-        let set = oi_edge(&g, &rank, &SmallestEdge).unwrap();
+        let set = oi_edge_budgeted(&g, &rank, &SmallestEdge, &free()).unwrap().value;
         // node 0 selects {0,1}; node 1 selects {0,1}; node 2 selects {1,2}
         assert_eq!(set.len(), 2);
         assert!(set.contains(&Edge::new(0, 1)));
@@ -642,7 +415,7 @@ mod tests {
         assert!(!b.is_complete());
         assert!(b.value.len() < 12, "prefix only");
         // the unlimited run still succeeds
-        let full = id_vertex(&g, &ids, &LocalMaxId).unwrap();
+        let full = id_vertex_budgeted(&g, &ids, &LocalMaxId, &free()).unwrap().value;
         assert_eq!(full.len(), 12);
         assert_eq!(b.value[..], full[..b.value.len()], "prefix agrees with full run");
     }

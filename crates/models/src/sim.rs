@@ -27,7 +27,7 @@ use locap_graph::budget::{RunBudget, TruncationReason};
 use locap_graph::{Graph, GraphError, Orientation, PortNumbering};
 use locap_obs as obs;
 
-use crate::error::RunError;
+use crate::error::{check_len, RunError};
 
 /// Per-node static context available at initialisation.
 #[derive(Debug, Clone)]
@@ -166,33 +166,12 @@ pub fn run_sync_budgeted<A: SyncAlgorithm>(
     budget: &RunBudget,
 ) -> Result<SimResult<A::State>, RunError> {
     let n = g.node_count();
-    if ports.node_count() != n {
-        return Err(RunError::InputLengthMismatch {
-            what: "ports",
-            expected: n,
-            actual: ports.node_count(),
-        }
-        .publish());
-    }
+    check_len("ports", n, ports.node_count())?;
     if let Some(ids) = ids {
-        if ids.len() != n {
-            return Err(RunError::InputLengthMismatch {
-                what: "ids",
-                expected: n,
-                actual: ids.len(),
-            }
-            .publish());
-        }
+        check_len("ids", n, ids.len())?;
     }
     if let Some(inputs) = inputs {
-        if inputs.len() != n {
-            return Err(RunError::InputLengthMismatch {
-                what: "inputs",
-                expected: n,
-                actual: inputs.len(),
-            }
-            .publish());
-        }
+        check_len("inputs", n, inputs.len())?;
     }
 
     let mut states: Vec<A::State> = Vec::with_capacity(n);

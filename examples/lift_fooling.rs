@@ -12,7 +12,8 @@
 //! anonymous algorithm B.
 
 use locap_core::homogeneous::construct;
-use locap_core::transfer::transfer_vertex;
+use locap_core::transfer::transfer_vertex_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::OrderedNbhd;
 use locap_graph::gen;
 use locap_models::OiVertexAlgorithm;
@@ -35,13 +36,14 @@ fn main() {
 
     for m in [6u64, 12, 24] {
         let h = construct(1, 1, m).expect("Thm 3.2 construction");
-        let (rep, lift) = transfer_vertex(
+        let (rep, lift) = transfer_vertex_budgeted(
             &g,
             &h,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .expect("transfer pipeline");
         println!(

@@ -44,6 +44,10 @@ step "failure injection (release)" \
 # concurrent load test (lost/duplicated responses would be a
 # release-profile race, invisible to the debug pass above)
 step "serve conformance (release)" cargo test -q --release -p locap-serve
+# the request benchmark builds against these crates' public API from
+# its own workspace: build it and run its tests, so an API change that
+# breaks the benchmark fails here
+step "perfbench (release)" cargo test -q --release --manifest-path perfbench/Cargo.toml
 # workspace static analysis in ratchet mode: fails on any violation not
 # grandfathered (with a reason) by lint_baseline.json
 step "locap-lint" cargo run --release -q -p locap-lint -- check

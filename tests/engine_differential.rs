@@ -1,11 +1,12 @@
 //! Differential lock-down of the memoized view/neighbourhood engine.
 //!
-//! Every engine-backed path (`ViewCache`, `ViewEngine`, the `*_fast`
-//! neighbourhood extractors, the parallel censuses, and the `run::*`
-//! wrappers) must be **bit-identical** to its naive reference
-//! (`view`, `view_census_naive`, `ordered_*_census_naive`, `run::*_naive`)
-//! — same trees, same censuses including sort order, same output bits,
-//! same edge sets. This file drives both paths over five graph families
+//! Every engine-backed path (`ViewCache`, the packed-key
+//! extractors, the parallel censuses, and the six budgeted `run::*`
+//! entries under an unlimited budget) must be **bit-identical** to its
+//! naive reference (`view`, `view_census_naive`,
+//! `ordered_*_census_naive`, `locap_models::oracle::*`) — same trees,
+//! same censuses including sort order, same output bits, same edge sets,
+//! and every engine run complete. This file drives both paths over five graph families
 //! (cycles, Petersen, random regular graphs, random lifts, homogeneous
 //! constructions — plus the label-complete EDS instances for good
 //! measure) with fixed seeds, and adds proptest generators on top.
@@ -16,13 +17,14 @@ use rand::SeedableRng;
 
 use locap_core::eds_lower::eds_instance;
 use locap_core::homogeneous::construct;
+use locap_graph::budget::{Budgeted, RunBudget};
 use locap_graph::canon::{
     ordered_ltype_census, ordered_ltype_census_naive, ordered_type_census,
     ordered_type_census_naive, IdNbhd, OrderedNbhd,
 };
 use locap_graph::{gen, random, Graph, LDigraph, PoGraph};
 use locap_lifts::{random_lift, view, view_census, view_census_naive, Letter, ViewCache, ViewTree};
-use locap_models::run;
+use locap_models::{oracle, run};
 use locap_models::{
     IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
     PoVertexAlgorithm,
@@ -105,6 +107,12 @@ impl IdEdgeAlgorithm for ParityEdges {
 
 // ----------------------------------------------------------- the batteries
 
+/// The budget of every engine run here: unlimited, so each run must
+/// complete.
+fn free() -> RunBudget {
+    RunBudget::unlimited()
+}
+
 /// Asserts every engine-backed PO path agrees with its naive oracle on `d`.
 fn assert_po_identical(d: &LDigraph, r_max: usize) {
     let mut cache = ViewCache::new(d);
@@ -122,9 +130,17 @@ fn assert_po_identical(d: &LDigraph, r_max: usize) {
             "labelled type census at radius {r}"
         );
         let a = ViewParity(r);
-        assert_eq!(run::po_vertex(d, &a), run::po_vertex_naive(d, &a), "po_vertex at {r}");
+        assert_eq!(
+            run::po_vertex_budgeted(d, &a, &free()),
+            oracle::po_vertex(d, &a).map(Budgeted::complete),
+            "po_vertex at {r}"
+        );
         let e = OddSubtrees(r);
-        assert_eq!(run::po_edge(d, &e), run::po_edge_naive(d, &e), "po_edge at {r}");
+        assert_eq!(
+            run::po_edge_budgeted(d, &e, &free()),
+            oracle::po_edge(d, &e).map(Budgeted::complete),
+            "po_edge at {r}"
+        );
     }
 }
 
@@ -137,13 +153,25 @@ fn assert_oi_id_identical(g: &Graph, rank: &[usize], ids: &[u64], r_max: usize) 
             "ordered type census at radius {r}"
         );
         let a = LocalMin(r);
-        assert_eq!(run::oi_vertex(g, rank, &a), run::oi_vertex_naive(g, rank, &a));
+        assert_eq!(
+            run::oi_vertex_budgeted(g, rank, &a, &free()),
+            oracle::oi_vertex(g, rank, &a).map(Budgeted::complete)
+        );
         let e = FirstEdge(r);
-        assert_eq!(run::oi_edge(g, rank, &e), run::oi_edge_naive(g, rank, &e));
+        assert_eq!(
+            run::oi_edge_budgeted(g, rank, &e, &free()),
+            oracle::oi_edge(g, rank, &e).map(Budgeted::complete)
+        );
         let a = LocalMaxId(r);
-        assert_eq!(run::id_vertex(g, ids, &a), run::id_vertex_naive(g, ids, &a));
+        assert_eq!(
+            run::id_vertex_budgeted(g, ids, &a, &free()),
+            oracle::id_vertex(g, ids, &a).map(Budgeted::complete)
+        );
         let e = ParityEdges(r);
-        assert_eq!(run::id_edge(g, ids, &e), run::id_edge_naive(g, ids, &e));
+        assert_eq!(
+            run::id_edge_budgeted(g, ids, &e, &free()),
+            oracle::id_edge(g, ids, &e).map(Budgeted::complete)
+        );
     }
 }
 
@@ -294,9 +322,9 @@ proptest! {
         let rank = random::random_rank(g.node_count(), &mut rng);
         let ids = random::random_ids(g.node_count(), 1 << 16, &mut rng);
         let a = LocalMin(1);
-        prop_assert_eq!(run::oi_vertex(&g, &rank, &a), run::oi_vertex_naive(&g, &rank, &a));
+        prop_assert_eq!(run::oi_vertex_budgeted(&g, &rank, &a, &free()), oracle::oi_vertex(&g, &rank, &a).map(Budgeted::complete));
         let a = LocalMaxId(1);
-        prop_assert_eq!(run::id_vertex(&g, &ids, &a), run::id_vertex_naive(&g, &ids, &a));
+        prop_assert_eq!(run::id_vertex_budgeted(&g, &ids, &a, &free()), oracle::id_vertex(&g, &ids, &a).map(Budgeted::complete));
     }
 
     /// Arbitrary random lifts: cached views and censuses match.
@@ -310,8 +338,8 @@ proptest! {
             }
         }
         let a = ViewParity(2);
-        prop_assert_eq!(run::po_vertex(&d, &a), run::po_vertex_naive(&d, &a));
+        prop_assert_eq!(run::po_vertex_budgeted(&d, &a, &free()), oracle::po_vertex(&d, &a).map(Budgeted::complete));
         let e = OddSubtrees(2);
-        prop_assert_eq!(run::po_edge(&d, &e), run::po_edge_naive(&d, &e));
+        prop_assert_eq!(run::po_edge_budgeted(&d, &e, &free()), oracle::po_edge(&d, &e).map(Budgeted::complete));
     }
 }

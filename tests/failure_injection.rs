@@ -27,8 +27,8 @@ use locap_lifts::{trivial_lift, CoveringMap, Letter, ViewTree};
 use locap_models::checkable::verifiers::*;
 use locap_models::checkable::{verify_edge, verify_vertex};
 use locap_models::{
-    run, IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm, PoEdgeAlgorithm,
-    PoVertexAlgorithm, RunError,
+    oracle, run, IdEdgeAlgorithm, IdVertexAlgorithm, OiEdgeAlgorithm, OiVertexAlgorithm,
+    PoEdgeAlgorithm, PoVertexAlgorithm, RunError,
 };
 
 /// A budget whose manual clock is already past its deadline: every
@@ -114,14 +114,18 @@ mod engine_faults {
     fn short_ids_rejected_by_both_id_engines() {
         let g = gen::cycle(8);
         let ids: Vec<u64> = (0..5).collect();
-        for res in [run::id_vertex(&g, &ids, &IdMax), run::id_vertex_naive(&g, &ids, &IdMax)] {
+        let unlimited = RunBudget::unlimited();
+        for res in [
+            run::id_vertex_budgeted(&g, &ids, &IdMax, &unlimited).map(|b| b.value),
+            oracle::id_vertex(&g, &ids, &IdMax),
+        ] {
             assert!(matches!(
                 res,
                 Err(RunError::InputLengthMismatch { what: "ids", expected: 8, actual: 5 })
             ));
         }
         assert!(matches!(
-            run::id_edge(&g, &ids, &IdEdgeTooWide),
+            run::id_edge_budgeted(&g, &ids, &IdEdgeTooWide, &RunBudget::unlimited()),
             Err(RunError::InputLengthMismatch { what: "ids", .. })
         ));
     }
@@ -130,14 +134,18 @@ mod engine_faults {
     fn short_rank_rejected_by_both_oi_engines() {
         let g = gen::cycle(8);
         let rank: Vec<usize> = (0..3).collect();
-        for res in [run::oi_vertex(&g, &rank, &OiMin), run::oi_vertex_naive(&g, &rank, &OiMin)] {
+        let unlimited = RunBudget::unlimited();
+        for res in [
+            run::oi_vertex_budgeted(&g, &rank, &OiMin, &unlimited).map(|b| b.value),
+            oracle::oi_vertex(&g, &rank, &OiMin),
+        ] {
             assert!(matches!(
                 res,
                 Err(RunError::InputLengthMismatch { what: "rank", expected: 8, actual: 3 })
             ));
         }
         assert!(matches!(
-            run::oi_edge(&g, &rank, &OiEdgeOneBit),
+            run::oi_edge_budgeted(&g, &rank, &OiEdgeOneBit, &RunBudget::unlimited()),
             Err(RunError::InputLengthMismatch { what: "rank", .. })
         ));
     }
@@ -148,11 +156,11 @@ mod engine_faults {
         let ids: Vec<u64> = (0..6).collect();
         let rank: Vec<usize> = (0..6).collect();
         assert!(matches!(
-            run::id_edge(&g, &ids, &IdEdgeTooWide),
+            run::id_edge_budgeted(&g, &ids, &IdEdgeTooWide, &RunBudget::unlimited()),
             Err(RunError::OutputLengthMismatch { expected: 2, .. })
         ));
         assert!(matches!(
-            run::oi_edge(&g, &rank, &OiEdgeOneBit),
+            run::oi_edge_budgeted(&g, &rank, &OiEdgeOneBit, &RunBudget::unlimited()),
             Err(RunError::OutputLengthMismatch { expected: 2, actual: 1, .. })
         ));
     }
@@ -160,7 +168,11 @@ mod engine_faults {
     #[test]
     fn po_edge_absent_letter_is_typed() {
         let d = gen::directed_cycle(6);
-        for res in [run::po_edge(&d, &PoAbsentLetter), run::po_edge_naive(&d, &PoAbsentLetter)] {
+        let unlimited = RunBudget::unlimited();
+        for res in [
+            run::po_edge_budgeted(&d, &PoAbsentLetter, &unlimited).map(|b| b.value),
+            oracle::po_edge(&d, &PoAbsentLetter),
+        ] {
             assert!(matches!(res, Err(RunError::AbsentLetter { .. })));
         }
     }
@@ -171,9 +183,27 @@ mod engine_faults {
         let ids: Vec<u64> = (10..18).collect();
         let rank: Vec<usize> = (0..8).collect();
         let d = gen::directed_cycle(8);
-        assert_eq!(run::id_vertex(&g, &ids, &IdMax).unwrap().len(), 8);
-        assert_eq!(run::oi_vertex(&g, &rank, &OiMin).unwrap().len(), 8);
-        assert_eq!(run::po_vertex(&d, &PoParity).unwrap().len(), 8);
+        assert_eq!(
+            run::id_vertex_budgeted(&g, &ids, &IdMax, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
+        assert_eq!(
+            run::oi_vertex_budgeted(&g, &rank, &OiMin, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
+        assert_eq!(
+            run::po_vertex_budgeted(&d, &PoParity, &RunBudget::unlimited())
+                .unwrap()
+                .value
+                .len(),
+            8
+        );
     }
 }
 
@@ -294,6 +324,77 @@ mod budget_truncation {
         assert!(matches!(po.truncation, Some(TruncationReason::CacheCapExceeded { .. })));
     }
 
+    /// Selects every incident edge: a well-formed output at any degree.
+    struct AllIncident;
+    impl IdEdgeAlgorithm for AllIncident {
+        fn radius(&self) -> usize {
+            1
+        }
+        fn evaluate(&self, t: &IdNbhd) -> Vec<bool> {
+            vec![true; t.edges.iter().filter(|&&(a, b)| a == t.root || b == t.root).count()]
+        }
+    }
+    impl OiEdgeAlgorithm for AllIncident {
+        fn radius(&self) -> usize {
+            1
+        }
+        fn evaluate(&self, t: &OrderedNbhd) -> Vec<bool> {
+            vec![true; t.edges.iter().filter(|&&(a, b)| a == t.root || b == t.root).count()]
+        }
+    }
+    impl PoEdgeAlgorithm for AllIncident {
+        fn radius(&self) -> usize {
+            1
+        }
+        fn evaluate(&self, v: &ViewTree) -> Vec<(Letter, bool)> {
+            v.root.children.iter().map(|&(l, _)| (l, true)).collect()
+        }
+    }
+
+    #[test]
+    fn edge_engines_truncate_on_cache_cap() {
+        let g = gen::cycle(12);
+        let ids: Vec<u64> = (0..12).collect();
+        let rank: Vec<usize> = (0..12).collect();
+        let d = gen::directed_cycle(12);
+        let capped = RunBudget::unlimited().with_cache_cap(1);
+        let unlimited = RunBudget::unlimited();
+        let runs = [
+            (
+                "id",
+                run::id_edge_budgeted(&g, &ids, &AllIncident, &capped),
+                run::id_edge_budgeted(&g, &ids, &AllIncident, &unlimited),
+            ),
+            (
+                "oi",
+                run::oi_edge_budgeted(&g, &rank, &AllIncident, &capped),
+                run::oi_edge_budgeted(&g, &rank, &AllIncident, &unlimited),
+            ),
+            (
+                "po",
+                run::po_edge_budgeted(&d, &AllIncident, &capped),
+                run::po_edge_budgeted(&d, &AllIncident, &unlimited),
+            ),
+        ];
+        for (model, partial, full) in runs {
+            let (partial, full) = (partial.unwrap(), full.unwrap());
+            assert!(
+                matches!(
+                    partial.truncation,
+                    Some(TruncationReason::CacheCapExceeded { cap: 1, .. })
+                ),
+                "{model}: {:?}",
+                partial.truncation
+            );
+            assert!(full.is_complete(), "{model}: the unlimited run still succeeds");
+            assert_eq!(full.value.len(), 12, "{model}: every cycle edge selected");
+            assert!(
+                partial.value.is_subset(&full.value),
+                "{model}: a truncated edge run selects a subset of the full answer"
+            );
+        }
+    }
+
     #[test]
     fn engines_truncate_on_deadline_with_empty_prefix() {
         let g = gen::cycle(12);
@@ -313,7 +414,9 @@ mod budget_truncation {
         let ids: Vec<u64> = (0..12).collect();
         let budget = RunBudget::unlimited().with_cache_cap(2);
         let partial = run::id_vertex_budgeted(&g, &ids, &IdMax, &budget).unwrap();
-        let full = run::id_vertex(&g, &ids, &IdMax).unwrap();
+        let full = run::id_vertex_budgeted(&g, &ids, &IdMax, &RunBudget::unlimited())
+            .unwrap()
+            .value;
         assert!(
             partial.value.iter().zip(&full).all(|(a, b)| a == b),
             "a truncated run must be a prefix of the full answer, never a wrong answer"
@@ -510,8 +613,8 @@ mod obs_visibility {
         let g = gen::cycle(8);
         let short: Vec<u64> = (0..3).collect();
         let before = locap_obs::counter("errors/run/input_length").get();
-        let _ = run::id_vertex(&g, &short, &IdMax);
-        let _ = run::id_vertex(&g, &short, &IdMax);
+        let _ = run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited());
+        let _ = run::id_vertex_budgeted(&g, &short, &IdMax, &RunBudget::unlimited());
         assert_eq!(
             locap_obs::counter("errors/run/input_length").get(),
             before + 2,

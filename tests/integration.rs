@@ -5,6 +5,7 @@ use locap_algos::double_cover::{double_cover_matching, eds_double_cover};
 use locap_algos::edge_packing::vc_edge_packing;
 use locap_core::eds_lower::{eds_bound, eds_instance, lower_bound_report};
 use locap_core::homogeneous::construct;
+use locap_graph::budget::RunBudget;
 use locap_graph::{gen, random, PoGraph, PortNumbering};
 use locap_lifts::{connect_copies, random_lift, view, view_census};
 use locap_models::{run, PoVertexAlgorithm};
@@ -29,8 +30,12 @@ fn po_outputs_invariant_under_lifts() {
     let base = PoGraph::canonical(&gen::petersen()).digraph().clone();
     for l in [2usize, 3] {
         let (lift, phi) = random_lift(&base, l, &mut rng);
-        let base_out = run::po_vertex(&base, &ViewParity).unwrap();
-        let lift_out = run::po_vertex(&lift, &ViewParity).unwrap();
+        let base_out = run::po_vertex_budgeted(&base, &ViewParity, &RunBudget::unlimited())
+            .unwrap()
+            .value;
+        let lift_out = run::po_vertex_budgeted(&lift, &ViewParity, &RunBudget::unlimited())
+            .unwrap()
+            .value;
         for v in 0..lift.node_count() {
             assert_eq!(lift_out[v], base_out[phi.image(v)], "fibre-invariance at {v}");
         }

@@ -4,7 +4,8 @@
 use locap_core::homogeneous::construct;
 use locap_core::oi_to_po::PoFromOi;
 use locap_core::ramsey::{ramsey_cycle_transfer, verify_monochromatic, OiFromId};
-use locap_core::transfer::transfer_vertex;
+use locap_core::transfer::transfer_vertex_budgeted;
+use locap_graph::budget::RunBudget;
 use locap_graph::canon::{IdNbhd, OrderedNbhd};
 use locap_graph::gen;
 use locap_models::{run, IdVertexAlgorithm, OiVertexAlgorithm};
@@ -39,13 +40,14 @@ fn fact_4_2_agreement_bounds() {
     let g = gen::directed_cycle(15);
     for m in [6u64, 10, 16] {
         let h = construct(1, 1, m).unwrap();
-        let (rep, _) = transfer_vertex(
+        let (rep, _) = transfer_vertex_budgeted(
             &g,
             &h,
             NonMinCover,
             Goal::Minimize,
             vertex_cover::feasible,
             vertex_cover::opt_value,
+            &RunBudget::unlimited(),
         )
         .unwrap();
         assert!(
@@ -67,7 +69,7 @@ fn is_simulation_forced_empty_on_cycles() {
     let b = PoFromOi::from_homogeneous(LocalMinIs, &h).unwrap();
     for n in [5usize, 9, 14] {
         let g = gen::directed_cycle(n);
-        let out = run::po_vertex(&g, &b).unwrap();
+        let out = run::po_vertex_budgeted(&g, &b, &RunBudget::unlimited()).unwrap().value;
         assert!(out.iter().all(|&x| !x), "n={n}: B must be constant-empty");
     }
 }
@@ -97,7 +99,7 @@ fn id_to_oi_to_po_composition() {
     let h = construct(1, 1, 6).unwrap();
     let b = PoFromOi::from_homogeneous(oi, &h).unwrap();
     let g = gen::directed_cycle(10);
-    let out = run::po_vertex(&g, &b).unwrap();
+    let out = run::po_vertex_budgeted(&g, &b, &RunBudget::unlimited()).unwrap().value;
     // constant on the symmetric cycle, and equal to the forced bit
     assert!(out.iter().all(|&x| x == out[0]));
     assert_eq!(out[0], bit, "B's constant equals the Ramsey-forced colour");
@@ -133,18 +135,22 @@ fn oi_from_id_faithful() {
 fn approximation_preserved_through_simulation() {
     let g = gen::directed_cycle(12);
     let h = construct(1, 1, 16).unwrap();
-    let (rep, lift) = transfer_vertex(
+    let (rep, lift) = transfer_vertex_budgeted(
         &g,
         &h,
         NonMinCover,
         Goal::Minimize,
         vertex_cover::feasible,
         vertex_cover::opt_value,
+        &RunBudget::unlimited(),
     )
     .unwrap();
     // A's cover on the lift
     let lift_und = lift.lift.underlying_simple();
-    let a_out = run::oi_vertex(&lift_und, &lift.rank, &NonMinCover).unwrap();
+    let a_out =
+        run::oi_vertex_budgeted(&lift_und, &lift.rank, &NonMinCover, &RunBudget::unlimited())
+            .unwrap()
+            .value;
     let a_size = a_out.iter().filter(|&&x| x).count();
     let a_feasible = vertex_cover::feasible(&lift_und, &run::to_vertex_set(&a_out));
     assert!(a_feasible, "A is a vertex cover on the lift");

@@ -217,6 +217,7 @@ proptest! {
     /// slices: `Ok` on full-length slices, typed error otherwise.
     #[test]
     fn prop_engines_total_on_short_slices(g in arb_graph(), cut in 0usize..4, seed in any::<u64>()) {
+        use locap_graph::budget::RunBudget;
         use locap_graph::canon::{IdNbhd, OrderedNbhd};
         use locap_models::{run, IdVertexAlgorithm, OiVertexAlgorithm, RunError};
 
@@ -237,11 +238,12 @@ proptest! {
         let rank = random::random_rank(n, &mut rng);
         let keep = n.saturating_sub(cut);
 
-        let id_res = run::id_vertex(&g, &ids[..keep], &Max);
-        let oi_res = run::oi_vertex(&g, &rank[..keep], &Min);
+        let unlimited = RunBudget::unlimited();
+        let id_res = run::id_vertex_budgeted(&g, &ids[..keep], &Max, &unlimited);
+        let oi_res = run::oi_vertex_budgeted(&g, &rank[..keep], &Min, &unlimited);
         if cut == 0 {
-            prop_assert_eq!(id_res.unwrap().len(), n);
-            prop_assert_eq!(oi_res.unwrap().len(), n);
+            prop_assert_eq!(id_res.unwrap().value.len(), n);
+            prop_assert_eq!(oi_res.unwrap().value.len(), n);
         } else {
             prop_assert!(matches!(id_res, Err(RunError::InputLengthMismatch { .. })));
             prop_assert!(matches!(oi_res, Err(RunError::InputLengthMismatch { .. })));
